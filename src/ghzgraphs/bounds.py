@@ -14,10 +14,11 @@ from typing import Any
 
 import numpy as np
 
-from ._search import digit_chunks
+from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
+from ._search import scan_max
 from .defaults import DENSE_CAP, SEARCH_CAP, STATE_CAP, TOLERANCE
-from .errors import CapExceededError, NotGhzGraphError
-from .graphs import WeightedGraph, classify_ghz
+from .errors import CapExceededError
+from .graphs import WeightedGraph, require_ghz
 from .pauli import PauliWord, dagger, multiply, power, to_matrix, vertex_stabilizer
 from .states import build_state, eigenvalue_of, to_dense
 
@@ -74,13 +75,6 @@ def _require_even(d: int, what: str) -> None:
         raise ValueError(f"{what} needs even d: the value set {{omega^t}} contains -1 only then (got d={d})")
 
 
-def _require_ghz(g: WeightedGraph, what: str):
-    rep = classify_ghz(g)
-    if not rep.is_ghz:
-        raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
-    return rep
-
-
 def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment,
                          tolerance: float = TOLERANCE) -> float:
     """Local-realistic value of the Bell expression for one assignment.
@@ -124,20 +118,11 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     space = d ** (2 * n)
     if space > cap:
         raise CapExceededError(f"Bell search needs {space} = {d}^{2 * n} assignments, cap is {cap}")
-    best = None
-    witness = None
-    for _, digits in digit_chunks(2 * n, d):
-        a = digits[:n]
-        b = digits[n:]
-        site_exp = (a + g.adj @ b) % d
-        coll_exp = a.sum(axis=0) % d
-        vals = ((site_exp == 0).sum(axis=0) - (site_exp == h).sum(axis=0)
-                + (coll_exp == h).astype(np.int64) - (coll_exp == 0).astype(np.int64))
-        peak = int(vals.max())
-        if best is None or peak > best:
-            best = peak
-            j = int(np.argmax(vals == peak))
-            witness = tuple(int(x) for x in digits[:, j])
+    # rows over (a, b): the n site rows a_v + (adj b)_v, then the collective
+    # row sum(a), whose table enters negated
+    forms = np.vstack([np.hstack([np.eye(n, dtype=np.int64), g.adj]), np.repeat([1, 0], n)])
+    site = (np.arange(d) == 0).astype(np.int64) - (np.arange(d) == h)
+    best, witness = scan_max(forms, [site] * n + [-site], d)
     return BoundReport(
         kind="bell_classical",
         classical_bound=float(best),
@@ -157,7 +142,7 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, state_cap: int = 
     hermiticity, the expectation, and that the spectral maximum does not
     exceed n+1.
     """
-    _require_ghz(g, "Bell operator expectation")
+    require_ghz(g, "Bell operator expectation")
     start = time.perf_counter()
     d, n = g.d, g.n
     theta = 2 * math.pi / d
@@ -261,15 +246,8 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
         raise CapExceededError(f"lattice scan needs {space} = {d}^{n} points, cap is {cap}")
     theta = 2 * math.pi / d
     table = np.cos(theta * np.arange(d))
-    best = -math.inf
-    witness = None
-    for _, digits in digit_chunks(n, d):
-        vals = table[digits].sum(axis=0) - table[digits.sum(axis=0) % d]
-        peak = float(vals.max())
-        if peak > best:
-            best = peak
-            j = int(np.argmax(vals == peak))
-            witness = tuple(int(x) for x in digits[:, j])
+    forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    best, witness = scan_max(forms, [table] * n + [-table], d)
     closed = lattice_bound_closed(n, d) if d % 2 == 0 else None
     return BoundReport(
         kind="lattice_brute",
@@ -333,27 +311,19 @@ def _ks_direct_max(g: WeightedGraph) -> tuple[float, dict]:
     d, n = g.d, g.n
     theta = 2 * math.pi / d
     table = np.cos(theta * np.arange(d))
-    best = -math.inf
-    witness = None
-    for _, digits in digit_chunks(3 * n + 1, d):
-        x = digits[:n]
-        z = digits[n:2 * n]
-        s = digits[2 * n:3 * n]
-        t = digits[3 * n]
-        vals = table[(x.sum(axis=0) - t) % d]
-        vals = vals + table[(x + g.adj @ z - s) % d].sum(axis=0)
-        vals = vals - table[(s.sum(axis=0) - t) % d]
-        peak = float(vals.max())
-        if peak > best:
-            best = peak
-            j = int(np.argmax(vals == peak))
-            col = digits[:, j]
-            witness = {
-                "x_exp": [int(v) for v in col[:n]],
-                "z_exp": [int(v) for v in col[n:2 * n]],
-                "stabilizer_exp": [int(v) for v in col[2 * n:3 * n]],
-                "collective_exp": int(col[3 * n]),
-            }
+    eye = np.eye(n, dtype=np.int64)
+    # rows over (x, z, s, t): the n stabilizer rows x_v + (adj z)_v - s_v, the
+    # shift row sum(x) - t, then the product row sum(s) - t, which enters negated
+    forms = np.vstack([np.hstack([eye, g.adj, -eye, np.zeros((n, 1), dtype=np.int64)]),
+                       np.repeat([1, 0, 0, -1], [n, n, n, 1]),
+                       np.repeat([0, 0, 1, -1], [n, n, n, 1])])
+    best, col = scan_max(forms, [table] * (n + 1) + [-table], d)
+    witness = {
+        "x_exp": list(col[:n]),
+        "z_exp": list(col[n:2 * n]),
+        "stabilizer_exp": list(col[2 * n:3 * n]),
+        "collective_exp": col[3 * n],
+    }
     return best, witness
 
 
@@ -366,7 +336,7 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP, tolerance: float =
     vanish mod d), so the bound is the closed-form lattice maximum.  Within
     cap a direct scan over independent assignments confirms the reduction.
     """
-    _require_ghz(g, "contextuality bound")
+    require_ghz(g, "contextuality bound")
     start = time.perf_counter()
     d, n = g.d, g.n
     bound = lattice_bound_closed(n + 1, d)
@@ -397,7 +367,7 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
     exactly +1 on any state, so the value is n+2.  Within the dense cap every
     row matrix is compared against its phase times the identity.
     """
-    _require_ghz(g, "contextuality value")
+    require_ghz(g, "contextuality value")
     start = time.perf_counter()
     d, n = g.d, g.n
     coll = PauliWord.all_x(d, n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._search import digit_chunks
 from .defaults import SEARCH_CAP
-from .errors import CapExceededError, GraphFormatError
+from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
 #: hard limit for the brute-force canonical form (n! permutations)
 ISO_DEDUP_MAX_VERTICES = 8
@@ -201,6 +201,14 @@ def classify_ghz(g: WeightedGraph) -> GhzReport:
         primary_witnesses=witnesses,
         failure_reasons=tuple(reasons),
     )
+
+
+def require_ghz(g: WeightedGraph, what: str) -> GhzReport:
+    """classify_ghz, raising NotGhzGraphError when ``what`` gets a non-GHZ graph."""
+    rep = classify_ghz(g)
+    if not rep.is_ghz:
+        raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
+    return rep
 
 
 def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import digit_chunks
+from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
+from ._search import scan_max
 from .defaults import SEARCH_CAP
 from .errors import CapExceededError, NotGhzGraphError
-from .graphs import WeightedGraph, classify_ghz, subgraph
+from .graphs import WeightedGraph, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
 
 
@@ -95,19 +96,12 @@ class InfeasibilityCertificate:
         }
 
 
-def _require_ghz(g: WeightedGraph, what: str):
-    rep = classify_ghz(g)
-    if not rep.is_ghz:
-        raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
-    return rep
-
-
 def constraint_system(g: WeightedGraph) -> ParadoxSystem:
     """The n+1 realistic-value relations of a GHZ graph.
 
     Row v: a_v + sum_u adj[u][v] b_u = 0; final row: sum_v a_v = d/2.
     """
-    _require_ghz(g, "constraint system")
+    require_ghz(g, "constraint system")
     n, d = g.n, g.d
     coeffs = np.zeros((n + 1, 2 * n), dtype=np.int64)
     rhs = np.zeros(n + 1, dtype=np.int64)
@@ -184,24 +178,15 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
     space = d**nv
     if space > cap:
         raise CapExceededError(f"exhaustive check needs {space} = {d}^{nv} assignments, cap is {cap}")
-    rhs_col = system.rhs[:, None]
     target = system.num_rows
-    best = -1
-    witness = None
-    for _, digits in digit_chunks(nv, d):
-        counts = ((system.coeffs @ digits) % d == rhs_col).sum(axis=0)
-        peak = int(counts.max())
-        if peak > best:
-            best = peak
-            if peak == target:
-                j = int(np.argmax(counts == target))
-                witness = tuple(int(x) for x in digits[:, j])
+    tables = (np.arange(d) == system.rhs[:, None]).astype(np.int64)
+    best, witness = scan_max(system.coeffs, tables, d)
     return InfeasibilityCertificate(
         method="exhaustive",
         infeasible=best < target,
         searched=space,
         max_satisfied_rows=best,
-        satisfying_witness=witness,
+        satisfying_witness=witness if best == target else None,
     )
 
 
@@ -237,7 +222,7 @@ class MerminTable:
 def mermin_table(g: WeightedGraph) -> MerminTable:
     """Operator table of the paradox: the vertex stabilizers at value +1 and
     the inverted collective shift at value -1, all mutually commuting."""
-    _require_ghz(g, "paradox table")
+    require_ghz(g, "paradox table")
     rows = []
     for v in range(g.n):
         word = vertex_stabilizer(g, v)
@@ -263,7 +248,7 @@ class Genuineness:
 def genuineness(g: WeightedGraph) -> Genuineness:
     """Party-irreducibility follows from connectivity; level-irreducibility
     from the (weak) coprimality structure of the incident weights."""
-    rep = _require_ghz(g, "genuineness")
+    rep = require_ghz(g, "genuineness")
     if rep.is_primary:
         level = "full"
     elif rep.is_weakly_primary:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._search import basis_digits, digits_to_index
+from ._search import counter_digits
 from .defaults import DENSE_CAP
 from .errors import CapExceededError
 from .graphs import WeightedGraph
@@ -147,8 +147,8 @@ def to_matrix(w: PauliWord, dense_cap: int = DENSE_CAP) -> np.ndarray:
     dim = w.d**w.n
     if dim > dense_cap:
         raise CapExceededError(f"dense matrix of size {dim} exceeds cap {dense_cap}")
-    digits = basis_digits(w.d, w.n)
-    rows = digits_to_index((digits + w.x_exp[:, None]) % w.d, w.d)
+    digits = counter_digits(np.arange(dim), w.n, w.d)
+    rows = w.d ** np.arange(w.n - 1, -1, -1) @ ((digits + w.x_exp[:, None]) % w.d)
     phases = (w.phase_exp + w.z_exp @ digits) % w.d
     mat = np.zeros((dim, dim), dtype=complex)
     mat[rows, np.arange(dim)] = np.exp(2j * np.pi * phases / w.d)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import basis_digits
+from ._search import counter_digits
 from .defaults import DENSE_CAP, STATE_CAP
 from .errors import CapExceededError
 from .graphs import WeightedGraph, classify_ghz, degree, total_weight
@@ -42,7 +42,7 @@ class PhaseState:
 
     def dump(self) -> list[tuple[tuple[int, ...], int]]:
         """(basis tuple, exponent) pairs in enumeration order, for diffing."""
-        digits = basis_digits(self.d, self.n)
+        digits = counter_digits(np.arange(self.exponents.size), self.n, self.d)
         return [(tuple(int(x) for x in digits[:, i]), int(self.exponents[i]))
                 for i in range(self.exponents.size)]
 
