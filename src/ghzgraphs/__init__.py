@@ -19,7 +19,7 @@ from .bounds import (
     lattice_bound_closed,
     lattice_bound_sweep,
 )
-from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
+from .errors import CapExceededError, GraphFormatError, InvariantError, NotGhzGraphError
 from .graphs import (
     GhzReport,
     WeightedGraph,

@@ -17,9 +17,9 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max
 from .defaults import DENSE_CAP, SEARCH_CAP, STATE_CAP, TOLERANCE
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
-from .pauli import PauliWord, dagger, multiply, power, to_matrix, vertex_stabilizer
+from .pauli import PauliWord, dagger, multiply, power, stabilizer_product, to_matrix, vertex_stabilizer
 from .states import build_state, eigenvalue_of, to_dense
 
 
@@ -102,7 +102,7 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment,
         series += (2 / d) * (sum(math.cos(k * theta * int(e)) for e in site_exp)
                              - math.cos(k * theta * coll_exp))
     if abs(series - value) > tolerance:
-        raise RuntimeError(f"delta form {value} and cosine series {series} disagree")
+        raise InvariantError(f"delta form {value} and cosine series {series} disagree")
     return value
 
 
@@ -155,11 +155,11 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, state_cap: int = 
         for stab in stabs:
             e = eigenvalue_of(power(stab, k), psi)
             if e is None:
-                raise RuntimeError("graph state is not an eigenstate of a stabilizer power")
+                raise InvariantError("graph state is not an eigenstate of a stabilizer power")
             value += (2 / d) * math.cos(theta * e)
         e = eigenvalue_of(power(coll, k), psi)
         if e is None:
-            raise RuntimeError("graph state is not an eigenstate of the collective shift power")
+            raise InvariantError("graph state is not an eigenstate of the collective shift power")
         value -= (2 / d) * math.cos(theta * e)
 
     oracle_value = None
@@ -223,11 +223,11 @@ def lattice_bound_closed(n: int, d: int) -> float:
     if n >= d // 2:
         plateau = n + 1 - d * math.sin(math.pi / d) ** 2
         if abs(plateau - value) > 1e-9:
-            raise RuntimeError(f"plateau reduction {plateau} disagrees with the general form {value}")
+            raise InvariantError(f"plateau reduction {plateau} disagrees with the general form {value}")
     if d % (2 * (n + 1)) == 0:
         aligned = (n + 1) * math.cos(math.pi / (n + 1))
         if abs(aligned - value) > 1e-9:
-            raise RuntimeError(f"aligned-lattice reduction {aligned} disagrees with the general form {value}")
+            raise InvariantError(f"aligned-lattice reduction {aligned} disagrees with the general form {value}")
     return value
 
 
@@ -380,17 +380,14 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
     for v in range(n):
         observable = PauliWord(d, np.eye(g.n, dtype=np.int64)[v], g.adj[:, v])
         rows.append((f"stabilizer_row_{v}", multiply(dagger(vertex_stabilizer(g, v)), observable), 0))
-    stab_product = PauliWord.identity(d, n)
-    for v in range(n):
-        stab_product = multiply(stab_product, vertex_stabilizer(g, v))
-    rows.append(("product_row", multiply(dagger(coll), stab_product), d // 2))
+    rows.append(("product_row", multiply(dagger(coll), stabilizer_product(g, range(n))), d // 2))
 
     word_checks = {}
     for name, word, expected_phase in rows:
         word_checks[name] = (not word.x_exp.any() and not word.z_exp.any()
                              and word.phase_exp == expected_phase)
     if not all(word_checks.values()):
-        raise RuntimeError(f"operator rows failed to reduce to pure phases: {word_checks}")
+        raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
 
     value = float(n + 2)
     oracle_value = None
@@ -408,12 +405,13 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
             total += sign * float(np.real(np.trace(mat + mat.conj().T)) / (2 * dim))
         oracle_value = total
         agreement = max_defect <= 1e-12 and abs(total - value) <= tolerance
+    bound = lattice_bound_closed(n + 1, d)
     return BoundReport(
         kind="ks_quantum",
-        classical_bound=lattice_bound_closed(n + 1, d),
+        classical_bound=bound,
         quantum_value=value,
         oracle_value=oracle_value,
         oracle_agreement=agreement,
-        notes={"word_checks": word_checks, "margin": value - lattice_bound_closed(n + 1, d)},
+        notes={"word_checks": word_checks, "margin": value - bound},
         elapsed=time.perf_counter() - start,
     )

@@ -2,51 +2,35 @@
 
 Output is deterministic: fixed field order, floats rounded to 12 significant
 digits, and no timing fields, so identical inputs produce byte-identical
-reports.  Exit codes: 0 success/true, 1 predicate false, 2 input error,
-3 resource cap exceeded.
+reports.  Exit codes: 0 success/true, 1 predicate false, 2 input error
+(including graph files with n > 4096), 3 resource cap exceeded, 4 internal
+self-check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bounds, graphs, paradox, states
-from .defaults import DENSE_CAP, SEARCH_CAP, STATE_CAP, TOLERANCE
-from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
+from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
+from .errors import CapExceededError, InvariantError, NotGhzGraphError
 
 EXIT_OK = 0
 EXIT_PREDICATE_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_INVARIANT = 4
 
-
-@dataclass
-class RunConfig:
-    """Resource limits and output settings shared by all subcommands."""
-
-    search_cap: int = SEARCH_CAP
-    dense_cap: int = DENSE_CAP
-    state_cap: int = STATE_CAP
-    tolerance: float = TOLERANCE
-    fmt: str = "json"
-    output: str = "-"  # "-" means standard output
-
-    def __post_init__(self):
-        if min(self.search_cap, self.dense_cap, self.state_cap) <= 0:
-            raise ValueError("caps must be positive")
-        if not 0 < self.tolerance < 1e-3:
-            raise ValueError(f"tolerance must lie in (0, 1e-3), got {self.tolerance}")
-        if self.fmt not in ("json", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-
-    def output_stream(self):
-        if self.output == "-":
-            return contextlib.nullcontext(sys.stdout)
-        return open(self.output, "w", encoding="utf-8")
+# first match wins: NotGhzGraphError (like GraphFormatError) is a ValueError
+_EXIT_CODES = {
+    NotGhzGraphError: EXIT_PREDICATE_FALSE,
+    CapExceededError: EXIT_CAP_EXCEEDED,
+    InvariantError: EXIT_INVARIANT,
+    ValueError: EXIT_INPUT_ERROR,
+    OSError: EXIT_INPUT_ERROR,
+}
 
 
 def _twelve(x: float) -> float:
@@ -90,42 +74,40 @@ def _text_lines(obj, depth=0):
         yield f"{pad}{obj}"
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
+def _emit(doc: dict, fmt: str) -> None:
     doc = _jsonable(doc)
-    with cfg.output_stream() as out:
-        if cfg.fmt == "json":
-            print(json.dumps(doc, indent=2, ensure_ascii=False), file=out)
-        else:
-            for line in _text_lines(doc):
-                print(line, file=out)
+    if fmt == "json":
+        print(json.dumps(doc, indent=2, ensure_ascii=False))
+    else:
+        print("\n".join(_text_lines(doc)))
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def _skipped(agreement):
+    """An oracle agreement for output: None means the oracle did not run."""
+    return "skipped" if agreement is None else agreement
+
+
+def cmd_check(args) -> int:
     g = graphs.load_graph(args.graph)
     rep = graphs.classify_ghz(g)
     doc = {"graph": graphs.graph_to_dict(g), **rep.to_json_dict()}
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK if rep.is_ghz else EXIT_PREDICATE_FALSE
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
+def cmd_enumerate(args) -> int:
     count = 0
-    with cfg.output_stream() as out:
-        for g in graphs.enumerate_ghz_graphs(args.n, args.d, dedup_isomorphism=args.dedup,
-                                             cap=cfg.search_cap):
-            if cfg.fmt == "json":
-                print(json.dumps(_jsonable(graphs.graph_to_dict(g)), ensure_ascii=False), file=out)
-            else:
-                print(f"graph {count}: d={g.d} n={g.n} edges={g.edges()}", file=out)
-            count += 1
-        if cfg.fmt == "json":
-            print(json.dumps({"count": count}), file=out)
+    for g in graphs.enumerate_ghz_graphs(args.n, args.d, dedup_isomorphism=args.dedup, cap=args.cap):
+        if args.format == "json":
+            print(json.dumps(_jsonable(graphs.graph_to_dict(g)), ensure_ascii=False))
         else:
-            print(f"count: {count}", file=out)
+            print(f"graph {count}: d={g.d} n={g.n} edges={g.edges()}")
+        count += 1
+    print(json.dumps({"count": count}) if args.format == "json" else f"count: {count}")
     return EXIT_OK
 
 
-def cmd_paradox(args, cfg: RunConfig) -> int:
+def cmd_paradox(args) -> int:
     g = graphs.load_graph(args.graph)
     system = paradox.constraint_system(g)
     table = paradox.mermin_table(g)
@@ -134,7 +116,7 @@ def cmd_paradox(args, cfg: RunConfig) -> int:
     if args.method in ("algebraic", "both"):
         certificates["algebraic"] = paradox.check_infeasible_algebraic(system, g).to_json_dict()
     if args.method in ("exhaustive", "both"):
-        certificates["exhaustive"] = paradox.check_infeasible_exhaustive(system, cap=cfg.search_cap).to_json_dict()
+        certificates["exhaustive"] = paradox.check_infeasible_exhaustive(system, cap=args.cap).to_json_dict()
     doc = {
         "graph": graphs.graph_to_dict(g),
         "system": {"rows": system.num_rows, "variables": system.num_vars,
@@ -144,16 +126,15 @@ def cmd_paradox(args, cfg: RunConfig) -> int:
         "genuineness": {"n_partite": gen.n_partite, "d_level": gen.d_level},
         "mermin_table": table.render(),
     }
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
-def cmd_bell(args, cfg: RunConfig) -> int:
+def cmd_bell(args) -> int:
     g = graphs.load_graph(args.graph)
-    quantum = bounds.bell_quantum(g, dense_cap=cfg.dense_cap, state_cap=cfg.state_cap,
-                                  tolerance=cfg.tolerance)
+    quantum = bounds.bell_quantum(g, dense_cap=args.dense_cap, tolerance=args.tolerance)
     try:
-        classical = bounds.bell_classical_max(g, cap=cfg.search_cap)
+        classical = bounds.bell_classical_max(g, cap=args.cap)
         classical_bound = classical.classical_bound
         classical_witness = classical.witness
         searched = classical.notes["searched"]
@@ -170,17 +151,17 @@ def cmd_bell(args, cfg: RunConfig) -> int:
         "quantum_value": quantum.quantum_value,
         "ratio": quantum.quantum_value / classical_bound,
         "oracle_value": quantum.oracle_value,
-        "oracle_agreement": "skipped" if quantum.oracle_agreement is None else quantum.oracle_agreement,
+        "oracle_agreement": _skipped(quantum.oracle_agreement),
         "notes": quantum.notes,
     }
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
-def cmd_ks(args, cfg: RunConfig) -> int:
+def cmd_ks(args) -> int:
     g = graphs.load_graph(args.graph)
-    classical = bounds.ks_classical_max(g, cap=cfg.search_cap, tolerance=cfg.tolerance)
-    quantum = bounds.ks_quantum(g, dense_cap=cfg.dense_cap, tolerance=cfg.tolerance)
+    classical = bounds.ks_classical_max(g, cap=args.cap, tolerance=args.tolerance)
+    quantum = bounds.ks_quantum(g, dense_cap=args.dense_cap, tolerance=args.tolerance)
     doc = {
         "kind": "ks",
         "graph": graphs.graph_to_dict(g),
@@ -189,22 +170,22 @@ def cmd_ks(args, cfg: RunConfig) -> int:
         "margin": quantum.quantum_value - classical.classical_bound,
         "witness": classical.witness,
         "direct_max": classical.oracle_value,
-        "direct_agreement": "skipped" if classical.oracle_agreement is None else classical.oracle_agreement,
-        "quantum_oracle_agreement": "skipped" if quantum.oracle_agreement is None else quantum.oracle_agreement,
+        "direct_agreement": _skipped(classical.oracle_agreement),
+        "quantum_oracle_agreement": _skipped(quantum.oracle_agreement),
     }
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
-def cmd_lemma(args, cfg: RunConfig) -> int:
+def cmd_lemma(args) -> int:
     closed = bounds.lattice_bound_closed(args.n, args.d)
     sweep = bounds.lattice_bound_sweep(args.n, args.d)
     try:
-        brute = bounds.lattice_bound_brute(args.n, args.d, cap=cfg.search_cap)
+        brute = bounds.lattice_bound_brute(args.n, args.d, cap=args.cap)
         brute_max = brute.classical_bound
         witness = brute.witness
-        agreement = (abs(brute_max - closed) <= cfg.tolerance
-                     and abs(sweep.max_value - closed) <= cfg.tolerance)
+        agreement = (abs(brute_max - closed) <= args.tolerance
+                     and abs(sweep.max_value - closed) <= args.tolerance)
     except CapExceededError:
         brute_max = None
         witness = None
@@ -219,15 +200,15 @@ def cmd_lemma(args, cfg: RunConfig) -> int:
         "witness": witness,
         "agreement": agreement,
     }
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK
 
 
-def cmd_state_verify(args, cfg: RunConfig) -> int:
+def cmd_state_verify(args) -> int:
     g = graphs.load_graph(args.graph)
-    rep = states.verify_stabilizers(g, state_cap=cfg.state_cap)
+    rep = states.verify_stabilizers(g)
     doc = {"graph": graphs.graph_to_dict(g), **rep.to_json_dict()}
-    _emit(doc, cfg)
+    _emit(doc, args.format)
     return EXIT_OK if rep.all_pass else EXIT_PREDICATE_FALSE
 
 
@@ -282,31 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(search_cap=args.cap, dense_cap=args.dense_cap,
-                        tolerance=args.tolerance, fmt=args.format)
-    except ValueError as exc:
+        if min(args.cap, args.dense_cap) <= 0:
+            raise ValueError("caps must be positive")
+        if not 0 < args.tolerance < 1e-3:
+            raise ValueError(f"tolerance must lie in (0, 1e-3), got {args.tolerance}")
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        return args.func(args, cfg)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except NotGhzGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PREDICATE_FALSE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -11,3 +11,7 @@ class NotGhzGraphError(ValueError):
 
 class GraphFormatError(ValueError):
     """A graph file or dictionary violates the interchange schema."""
+
+
+class InvariantError(RuntimeError):
+    """An internal self-check failed: two derivations of one result disagree."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import digit_chunks
-from .defaults import SEARCH_CAP
+from .defaults import DENSE_CAP, SEARCH_CAP
 from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
 #: hard limit for the brute-force canonical form (n! permutations)
@@ -316,6 +316,8 @@ def graph_from_dict(obj) -> WeightedGraph:
             raise GraphFormatError(f"missing field {key!r}")
     d = _require_int(obj, "d", 2)
     n = _require_int(obj, "n", 1)
+    if n > DENSE_CAP:  # bounds the n x n adjacency matrix at 128 MiB
+        raise GraphFormatError(f"field 'n' must be at most {DENSE_CAP}, got {n}")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of [u, v, w] triples")

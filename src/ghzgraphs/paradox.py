@@ -17,7 +17,7 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max
 from .defaults import SEARCH_CAP
-from .errors import CapExceededError, NotGhzGraphError
+from .errors import CapExceededError, InvariantError, NotGhzGraphError
 from .graphs import WeightedGraph, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
 
@@ -96,21 +96,21 @@ class InfeasibilityCertificate:
         }
 
 
+def _paradox_rows(g: WeightedGraph, vs: list[int]) -> ParadoxSystem:
+    """Stabilizer rows of the vertices vs over all 2n variables, then their
+    sum with right side d/2."""
+    rows = np.hstack([np.eye(g.n, dtype=np.int64)[vs], g.adj[:, vs].T])
+    return ParadoxSystem(g.d, g.n, np.vstack([rows, rows.sum(axis=0)]), [0] * len(vs) + [g.d // 2])
+
+
 def constraint_system(g: WeightedGraph) -> ParadoxSystem:
     """The n+1 realistic-value relations of a GHZ graph.
 
-    Row v: a_v + sum_u adj[u][v] b_u = 0; final row: sum_v a_v = d/2.
+    Row v: a_v + sum_u adj[u][v] b_u = 0; final row: sum_v a_v = d/2 (the
+    b part of the row sum vanishes because every degree is 0 mod d).
     """
     require_ghz(g, "constraint system")
-    n, d = g.n, g.d
-    coeffs = np.zeros((n + 1, 2 * n), dtype=np.int64)
-    rhs = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        coeffs[v, v] = 1
-        coeffs[v, n:] = g.adj[:, v]
-    coeffs[n, :n] = 1
-    rhs[n] = d // 2
-    return ParadoxSystem(d, n, coeffs, rhs)
+    return _paradox_rows(g, list(range(g.n)))
 
 
 def subgraph_paradox(g: WeightedGraph, vertices) -> ParadoxSystem:
@@ -125,18 +125,7 @@ def subgraph_paradox(g: WeightedGraph, vertices) -> ParadoxSystem:
     rep = classify_ghz(subgraph(g, vs))
     if not rep.is_ghz:
         raise NotGhzGraphError(f"induced subgraph on {vs} is not a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
-    n, d = g.n, g.d
-    m = len(vs)
-    coeffs = np.zeros((m + 1, 2 * n), dtype=np.int64)
-    rhs = np.zeros(m + 1, dtype=np.int64)
-    for i, u in enumerate(vs):
-        coeffs[i, u] = 1
-        coeffs[i, n:] = g.adj[:, u]
-    for u in vs:
-        coeffs[m, u] = 1
-    coeffs[m, n:] = g.adj[:, vs].sum(axis=1)
-    rhs[m] = d // 2
-    return ParadoxSystem(d, n, coeffs, rhs)
+    return _paradox_rows(g, vs)
 
 
 def check_infeasible_algebraic(system: ParadoxSystem, g: WeightedGraph | None = None) -> InfeasibilityCertificate:
@@ -233,7 +222,7 @@ def mermin_table(g: WeightedGraph) -> MerminTable:
         for second in rows[i + 1:]:
             c = commutation_phase(first.word, second.word)
             if c:
-                raise RuntimeError(f"table rows {first.label} and {second.label} fail to commute (phase {c})")
+                raise InvariantError(f"table rows {first.label} and {second.label} fail to commute (phase {c})")
     return MerminTable(g.d, g.n, tuple(rows))
 
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import ghzgraphs
+from ghzgraphs import bounds
 from ghzgraphs.bounds import (
     ClassicalAssignment,
     bell_classical_max,
@@ -18,7 +20,7 @@ from ghzgraphs.bounds import (
     lattice_bound_closed,
     lattice_bound_sweep,
 )
-from ghzgraphs.errors import CapExceededError, NotGhzGraphError
+from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 
 
@@ -124,6 +126,15 @@ class TestBellQuantum:
     def test_non_ghz_rejected(self):
         with pytest.raises(NotGhzGraphError):
             bell_quantum(WeightedGraph.from_edges(2, 2, [(0, 1, 1)]))
+
+    def test_failed_self_check_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(bounds, "eigenvalue_of", lambda word, psi: None)
+        with pytest.raises(InvariantError, match="not an eigenstate"):
+            bell_quantum(triangle(2))
+
+    def test_invariant_error_is_an_exported_runtime_error(self):
+        assert ghzgraphs.InvariantError is InvariantError
+        assert issubclass(InvariantError, RuntimeError)
 
 
 class TestLatticeBounds:

@@ -1,12 +1,16 @@
 """Subcommand behavior: exit codes, JSON shape, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ghzgraphs.graphs import k4, save_graph, triangle
+from ghzgraphs import bounds, cli
+from ghzgraphs.graphs import graph_from_dict, k4, save_graph, triangle
 
 
 def run_cli(*args):
@@ -73,6 +77,13 @@ class TestCheck:
     def test_missing_file_exits_two(self):
         proc = run_cli("check", "/nonexistent/graph.json")
         assert proc.returncode == 2
+
+    def test_oversized_graph_exits_two(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"d": 2, "n": 1000000000, "edges": []}')
+        proc = run_cli("check", str(big))
+        assert proc.returncode == 2
+        assert "must be at most 4096" in proc.stderr
 
     def test_text_format(self, triangle_file):
         proc = run_cli("check", triangle_file, "--format", "text")
@@ -217,3 +228,115 @@ class TestDeterminism:
     def test_bad_tolerance_rejected(self, triangle_file):
         proc = run_cli("bell", triangle_file, "--tolerance", "0.5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [("--cap", "0"), ("--dense-cap", "-1")])
+    def test_non_positive_cap_rejected(self, triangle_file, flag, value):
+        proc = run_cli("check", triangle_file, flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: caps must be positive\n"
+
+
+class TestInvariantFailure:
+    def test_failed_self_check_exits_four(self, triangle_file, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "eigenvalue_of", lambda word, psi: None)
+        assert cli.main(["bell", triangle_file]) == cli.EXIT_INVARIANT == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph state is not an eigenstate of a stabilizer power\n"
+
+
+PINNED_GRAPHS = {
+    "triangle": triangle(2),
+    "k4_d4": k4(4, 1, 1, 0),
+    "path": graph_from_dict({"d": 2, "n": 3, "edges": [[0, 1, 1], [1, 2, 1]]}),
+}
+
+
+def pinned_cases():
+    for name in PINNED_GRAPHS:
+        for command in ("check", "paradox", "bell", "ks", "state-verify"):
+            # the direct KS scan on k4 at d=4 covers 4^13 values; run it over cap
+            over_cap = ("--cap", "1000") if (command, name) == ("ks", "k4_d4") else ()
+            yield (command, name, *over_cap)
+    yield ("enumerate", "4", "4")
+    yield ("enumerate", "4", "4", "--dedup")
+    yield ("lemma", "3", "8")
+    yield ("lemma", "6", "12", "--cap", "1000")
+
+
+def run_pinned(argv, fmt, graph_dir):
+    """Exit code and the first 16 hex digits of the SHA-256 of stdout.
+
+    The bell document is digested without its notes: hermiticity_defect is
+    a rounding residue (about 1e-16) that depends on the math library.
+    """
+    argv = [str(graph_dir / f"{a}.json") if a in PINNED_GRAPHS else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--format", fmt])
+    text = out.getvalue()
+    if argv[0] == "bell" and code == 0:
+        if fmt == "json":
+            doc = json.loads(text)
+            del doc["notes"]
+            text = json.dumps(doc, indent=2, ensure_ascii=False)
+        else:
+            text = text[:text.index("\nnotes:")]
+    return code, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# recorded by running run_pinned on the code before the CLI's RunConfig layer was removed
+PINNED = {
+    "check triangle json": (0, "0466540dd3bbfd11"),
+    "check triangle text": (0, "5124a60f1e598d05"),
+    "paradox triangle json": (0, "2fff62be261b7ddf"),
+    "paradox triangle text": (0, "d758e3b8087a8a46"),
+    "bell triangle json": (0, "638166e72d0f0af9"),
+    "bell triangle text": (0, "ba67284a931feb9f"),
+    "ks triangle json": (0, "86f12e55481d926c"),
+    "ks triangle text": (0, "a602826dda884e6b"),
+    "state-verify triangle json": (0, "75b8b89a0bb696e3"),
+    "state-verify triangle text": (0, "27a55ef76c657024"),
+    "check k4_d4 json": (0, "14c0323b10c40c26"),
+    "check k4_d4 text": (0, "6c77834bc61b5424"),
+    "paradox k4_d4 json": (0, "c409c91e2959179a"),
+    "paradox k4_d4 text": (0, "f228e2a75d028e37"),
+    "bell k4_d4 json": (0, "11c422549809fb4c"),
+    "bell k4_d4 text": (0, "f00ed2d450e55781"),
+    "ks k4_d4 --cap 1000 json": (0, "3ec1768700b55caf"),
+    "ks k4_d4 --cap 1000 text": (0, "437e3668f383d8b7"),
+    "state-verify k4_d4 json": (0, "277915370037fbc1"),
+    "state-verify k4_d4 text": (0, "215532b43dee1ed6"),
+    "check path json": (1, "4c4c3c99f9e2ae44"),
+    "check path text": (1, "819fb52ee582f167"),
+    "paradox path json": (1, "e3b0c44298fc1c14"),
+    "paradox path text": (1, "e3b0c44298fc1c14"),
+    "bell path json": (1, "e3b0c44298fc1c14"),
+    "bell path text": (1, "e3b0c44298fc1c14"),
+    "ks path json": (1, "e3b0c44298fc1c14"),
+    "ks path text": (1, "e3b0c44298fc1c14"),
+    "state-verify path json": (0, "8edfc8c10a689dd8"),
+    "state-verify path text": (0, "c700a2b758c79c87"),
+    "enumerate 4 4 json": (0, "05edab0b24018ad8"),
+    "enumerate 4 4 text": (0, "4619c401d982620b"),
+    "enumerate 4 4 --dedup json": (0, "3965bc13cd4fb3c4"),
+    "enumerate 4 4 --dedup text": (0, "650fbabe0414439c"),
+    "lemma 3 8 json": (0, "7a898cad9f8212de"),
+    "lemma 3 8 text": (0, "e189d05fd71e96ee"),
+    "lemma 6 12 --cap 1000 json": (0, "0ae4e2f74daaa6d5"),
+    "lemma 6 12 --cap 1000 text": (0, "9918e80d550fcc7c"),
+}
+
+
+class TestPinnedOutput:
+    @pytest.fixture(scope="class")
+    def graph_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pinned")
+        for name, g in PINNED_GRAPHS.items():
+            save_graph(g, path / f"{name}.json")
+        return path
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv", list(pinned_cases()), ids=" ".join)
+    def test_stdout_and_exit_code_pinned(self, graph_dir, argv, fmt):
+        assert run_pinned(argv, fmt, graph_dir) == PINNED[" ".join((*argv, fmt))]

@@ -353,6 +353,9 @@ class TestFileFormat:
         ({"d": 2, "n": 3, "edges": [[0, 1, 2]]}, "weight"),
         ({"d": 2, "n": 3, "edges": [[0, 1, 0]]}, "weight"),
         ({"d": 2, "n": 3, "edges": [[0, 1]]}, "triple"),
+        # rejected before the n x n adjacency matrix is allocated
+        ({"d": 2, "n": 4097, "edges": []}, "'n' must be at most 4096"),
+        ({"d": 2, "n": 10**9, "edges": []}, "'n' must be at most 4096"),
     ])
     def test_schema_violations(self, doc, fragment):
         with pytest.raises(GraphFormatError, match=fragment):
