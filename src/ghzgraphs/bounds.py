@@ -16,11 +16,12 @@ import numpy as np
 
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max
-from .defaults import DENSE_CAP, SEARCH_CAP, STATE_CAP, TOLERANCE
+from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
 from .pauli import PauliWord, dagger, multiply, power, stabilizer_product, to_matrix, vertex_stabilizer
-from .states import build_state, eigenvalue_of, to_dense
+from .states import build_state, to_dense
+from .states import eigenvalue_of  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 
 
 @dataclass(frozen=True)
@@ -132,48 +133,43 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     )
 
 
-def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, state_cap: int = STATE_CAP,
-                 tolerance: float = TOLERANCE) -> BoundReport:
-    """Graph-state value of the Bell operator with shift/phase settings.
+def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = TOLERANCE) -> BoundReport:
+    """Graph-state value n + 1 and local-realistic bound n - 1 of the Bell
+    operator with shift/phase settings.
 
-    The symbolic path reads each term's eigen-exponent off the exact state
-    (every stabilizer power fixes it, every collective-shift power flips it),
-    giving n+1.  Within the dense cap the operator matrix is rebuilt to check
-    hermiticity, the expectation, and that the spectral maximum does not
-    exceed n+1.
+    Value: the stabilizer product is checked to be omega^(d/2) X_V, so each
+    odd power of X_V flips the state every stabilizer power fixes, and each
+    of the d/2 odd-power terms gives (2/d)(n + 1).  Bound: s_v = a_v + (adj b)_v
+    ranges over Z_d^n and, every degree being 0 mod d, the collective
+    exponent is sum(s).  With z zeros and t halves among the s_v the value is
+    z - t + [sum(s) = d/2] - [sum(s) = 0].  z = n forces sum(s) = 0: n - 1.
+    z = n - 1 with t = 0 leaves one site s not in {0, d/2}, so sum(s) = s is
+    neither: n - 1.  Otherwise z - t <= n - 2: at most n - 1.  a = b = 0
+    attains n - 1.  Within the dense cap the operator matrix is checked
+    against the exact state: hermiticity, expectation, spectral maximum.
     """
     require_ghz(g, "Bell operator expectation")
     start = time.perf_counter()
     d, n = g.d, g.n
-    theta = 2 * math.pi / d
-    psi = build_state(g, state_cap=state_cap)
-    stabs = [vertex_stabilizer(g, v) for v in range(n)]
     coll = PauliWord.all_x(d, n)
-
-    value = 0.0
-    for k in range(1, d, 2):
-        for stab in stabs:
-            e = eigenvalue_of(power(stab, k), psi)
-            if e is None:
-                raise InvariantError("graph state is not an eigenstate of a stabilizer power")
-            value += (2 / d) * math.cos(theta * e)
-        e = eigenvalue_of(power(coll, k), psi)
-        if e is None:
-            raise InvariantError("graph state is not an eigenstate of the collective shift power")
-        value -= (2 / d) * math.cos(theta * e)
+    flip = PauliWord(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), d // 2)
+    if multiply(dagger(coll), stabilizer_product(g, range(n))) != flip:
+        raise InvariantError("the stabilizer product is not the flipped collective shift")
+    value = float(n + 1)
 
     oracle_value = None
     agreement = None
     notes = {}
     dim = d**n
     if dim <= dense_cap:
+        stabs = [vertex_stabilizer(g, v) for v in range(n)]
         bell = np.zeros((dim, dim), dtype=complex)
         for k in range(1, d, 2):
             term = sum(to_matrix(power(stab, k), dense_cap=dense_cap) for stab in stabs)
             term = term - to_matrix(power(coll, k), dense_cap=dense_cap)
             bell += (2 / d) * term
         herm_defect = float(np.abs(bell - bell.conj().T).max())
-        vec = to_dense(psi, dense_cap=dense_cap)
+        vec = to_dense(build_state(g), dense_cap=dense_cap)
         expect = complex(vec.conj() @ (bell @ vec))
         spectral_max = float(np.linalg.eigvalsh((bell + bell.conj().T) / 2)[-1])
         oracle_value = float(expect.real)

@@ -10,6 +10,7 @@ self-check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -133,23 +134,21 @@ def cmd_paradox(args) -> int:
 def cmd_bell(args) -> int:
     g = graphs.load_graph(args.graph)
     quantum = bounds.bell_quantum(g, dense_cap=args.dense_cap, tolerance=args.tolerance)
-    try:
-        classical = bounds.bell_classical_max(g, cap=args.cap)
-        classical_bound = classical.classical_bound
-        classical_witness = classical.witness
-        searched = classical.notes["searched"]
-    except CapExceededError:
-        classical_bound = float(g.n - 1)
-        classical_witness = None
-        searched = "skipped"
+    bound = quantum.classical_bound  # closed form; the scan only confirms it, within cap
+    witness, searched = None, "skipped"
+    with contextlib.suppress(CapExceededError):
+        scan = bounds.bell_classical_max(g, cap=args.cap)
+        if scan.classical_bound != bound:
+            raise InvariantError(f"Bell scan maximum {scan.classical_bound} differs from the closed form {bound}")
+        witness, searched = scan.witness, scan.notes["searched"]
     doc = {
         "kind": "bell",
         "graph": graphs.graph_to_dict(g),
-        "classical_bound": classical_bound,
-        "classical_witness": classical_witness,
+        "classical_bound": bound,
+        "classical_witness": witness,
         "classical_searched": searched,
         "quantum_value": quantum.quantum_value,
-        "ratio": quantum.quantum_value / classical_bound,
+        "ratio": quantum.quantum_value / bound,
         "oracle_value": quantum.oracle_value,
         "oracle_agreement": _skipped(quantum.oracle_agreement),
         "notes": quantum.notes,

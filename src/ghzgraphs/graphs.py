@@ -154,14 +154,19 @@ class GhzReport:
 
 
 def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] | None:
-    others = [u for u in range(len(weights)) if u != skip]
-    for i, b in enumerate(others):
-        wb = int(weights[b])
-        for c in others[i + 1:]:
-            wc = int(weights[c])
-            hit = math.gcd(wb, wc) == 1 if strict else math.gcd(wb, wc, d) == 1
-            if hit:
-                return (b, c)
+    """First pair b < c (both != skip) with gcd(w_b, w_c) == 1 if strict, else gcd(w_b, w_c, d) == 1.
+
+    Only each weight's key (w, or gcd(w, d)) matters, and a key with no coprime
+    partner after one vertex has none after a later one: each key is scanned once.
+    """
+    keys = weights.tolist() if strict else [math.gcd(w, d) for w in weights.tolist()]
+    exhausted = set()
+    for b, kb in enumerate(keys):
+        if b != skip and kb not in exhausted:
+            for c in range(b + 1, len(keys)):
+                if c != skip and math.gcd(kb, keys[c]) == 1:
+                    return b, c
+            exhausted.add(kb)
     return None
 
 

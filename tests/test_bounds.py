@@ -21,7 +21,8 @@ from ghzgraphs.bounds import (
     lattice_bound_sweep,
 )
 from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
-from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
+from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
+from ghzgraphs.pauli import PauliWord
 
 
 def python_lattice_max(n, d):
@@ -127,9 +128,16 @@ class TestBellQuantum:
         with pytest.raises(NotGhzGraphError):
             bell_quantum(WeightedGraph.from_edges(2, 2, [(0, 1, 1)]))
 
+    def test_any_n_without_the_exact_state(self):
+        # 2^25 amplitudes: the value and the bound come from the words alone
+        report = bell_quantum(odd_loop(25))
+        assert report.quantum_value == 26.0
+        assert report.classical_bound == 24.0
+        assert report.oracle_value is None and report.oracle_agreement is None
+
     def test_failed_self_check_raises_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(bounds, "eigenvalue_of", lambda word, psi: None)
-        with pytest.raises(InvariantError, match="not an eigenstate"):
+        monkeypatch.setattr(bounds, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
+        with pytest.raises(InvariantError, match="not the flipped collective shift"):
             bell_quantum(triangle(2))
 
     def test_invariant_error_is_an_exported_runtime_error(self):

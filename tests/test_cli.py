@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from ghzgraphs import bounds, cli
-from ghzgraphs.graphs import graph_from_dict, k4, save_graph, triangle
+from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
+from ghzgraphs.pauli import PauliWord
 
 
 def run_cli(*args):
@@ -193,6 +194,19 @@ class TestBounds:
         assert doc["classical_bound"] == 3.0
         assert doc["quantum_value"] == 5.0
 
+    def test_bell_closed_form_beyond_every_cap(self, tmp_path):
+        # neither the 2^50 scan nor the 2^25-entry state is built
+        path = tmp_path / "loop25.json"
+        save_graph(odd_loop(25), path)
+        proc = run_cli("bell", str(path))
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["classical_bound"] == 24.0
+        assert doc["classical_witness"] is None
+        assert doc["classical_searched"] == "skipped"
+        assert doc["quantum_value"] == 26.0
+        assert doc["oracle_agreement"] == "skipped"
+
 
 class TestStateVerify:
     def test_triangle_passes(self, triangle_file):
@@ -205,7 +219,7 @@ class TestStateVerify:
         proc = run_cli("state-verify", path_file)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
-        assert doc["is_ghz"] is False and doc["ghz_expectation"] is False
+        assert doc["is_ghz"] is False and "ghz_expectation" not in doc
         assert doc["flip_exponent"] == doc["flip_expected"]
 
 
@@ -238,11 +252,19 @@ class TestDeterminism:
 
 class TestInvariantFailure:
     def test_failed_self_check_exits_four(self, triangle_file, monkeypatch, capsys):
-        monkeypatch.setattr(bounds, "eigenvalue_of", lambda word, psi: None)
+        monkeypatch.setattr(bounds, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
         assert cli.main(["bell", triangle_file]) == cli.EXIT_INVARIANT == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: graph state is not an eigenstate of a stabilizer power\n"
+        assert captured.err == "error: the stabilizer product is not the flipped collective shift\n"
+
+    def test_scan_disagreeing_with_closed_form_exits_four(self, triangle_file, monkeypatch, capsys):
+        wrong = bounds.BoundReport(kind="bell_classical", classical_bound=3.0, notes={"searched": 64})
+        monkeypatch.setattr(bounds, "bell_classical_max", lambda g, cap: wrong)
+        assert cli.main(["bell", triangle_file]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Bell scan maximum 3.0 differs from the closed form 2.0\n"
 
 
 PINNED_GRAPHS = {
@@ -285,7 +307,8 @@ def run_pinned(argv, fmt, graph_dir):
     return code, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# recorded by running run_pinned on the code before the CLI's RunConfig layer was removed
+# recorded by running run_pinned on the code before the CLI's RunConfig layer was removed;
+# state-verify re-recorded from that output with its ghz_expectation line removed
 PINNED = {
     "check triangle json": (0, "0466540dd3bbfd11"),
     "check triangle text": (0, "5124a60f1e598d05"),
@@ -295,8 +318,8 @@ PINNED = {
     "bell triangle text": (0, "ba67284a931feb9f"),
     "ks triangle json": (0, "86f12e55481d926c"),
     "ks triangle text": (0, "a602826dda884e6b"),
-    "state-verify triangle json": (0, "75b8b89a0bb696e3"),
-    "state-verify triangle text": (0, "27a55ef76c657024"),
+    "state-verify triangle json": (0, "2318699b08f4088c"),
+    "state-verify triangle text": (0, "f1d603624de2fadf"),
     "check k4_d4 json": (0, "14c0323b10c40c26"),
     "check k4_d4 text": (0, "6c77834bc61b5424"),
     "paradox k4_d4 json": (0, "c409c91e2959179a"),
@@ -305,8 +328,8 @@ PINNED = {
     "bell k4_d4 text": (0, "f00ed2d450e55781"),
     "ks k4_d4 --cap 1000 json": (0, "3ec1768700b55caf"),
     "ks k4_d4 --cap 1000 text": (0, "437e3668f383d8b7"),
-    "state-verify k4_d4 json": (0, "277915370037fbc1"),
-    "state-verify k4_d4 text": (0, "215532b43dee1ed6"),
+    "state-verify k4_d4 json": (0, "5eda1bfb2d1dbacc"),
+    "state-verify k4_d4 text": (0, "115b625ceb4779c7"),
     "check path json": (1, "4c4c3c99f9e2ae44"),
     "check path text": (1, "819fb52ee582f167"),
     "paradox path json": (1, "e3b0c44298fc1c14"),
@@ -315,8 +338,8 @@ PINNED = {
     "bell path text": (1, "e3b0c44298fc1c14"),
     "ks path json": (1, "e3b0c44298fc1c14"),
     "ks path text": (1, "e3b0c44298fc1c14"),
-    "state-verify path json": (0, "8edfc8c10a689dd8"),
-    "state-verify path text": (0, "c700a2b758c79c87"),
+    "state-verify path json": (0, "09c91afe5ac87f02"),
+    "state-verify path text": (0, "86b89f9014517ee9"),
     "enumerate 4 4 json": (0, "05edab0b24018ad8"),
     "enumerate 4 4 text": (0, "4619c401d982620b"),
     "enumerate 4 4 --dedup json": (0, "3965bc13cd4fb3c4"),

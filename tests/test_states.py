@@ -129,7 +129,7 @@ class TestEigenvalues:
 class TestVerifyStabilizers:
     def test_triangle_all_pass(self):
         rep = verify_stabilizers(triangle(2))
-        assert rep.all_pass and rep.is_ghz and rep.ghz_expectation
+        assert rep.all_pass and rep.is_ghz
         assert rep.flip_exponent == rep.flip_expected == 1
 
     def test_k4_d6_all_pass(self):
@@ -141,7 +141,7 @@ class TestVerifyStabilizers:
         g = WeightedGraph.from_edges(2, 2, [(0, 1, 1)])
         rep = verify_stabilizers(g)
         assert rep.vertex_check and rep.product_word_check
-        assert not rep.is_ghz and not rep.ghz_expectation
+        assert not rep.is_ghz
         assert rep.flip_exponent == rep.flip_expected == 1
         assert rep.all_pass
 
