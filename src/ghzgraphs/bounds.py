@@ -1,8 +1,10 @@
-"""Bell and noncontextuality bounds with brute-force cross-checks.
+"""Bell and noncontextuality bounds with exact cross-checks.
 
 All classical searches run over omega-exponents; cosines appear only when an
 objective value is evaluated.  Every closed form ships with an independent
-exhaustive oracle so a reported bound is always checked two ways.
+oracle so a reported bound is always checked two ways: classical bounds by
+exhaustive scans, quantum values by exact integer Weyl-word actions (no dense
+matrix and no eigensolver; the dense matrices are the tests' oracle).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -19,9 +22,9 @@ from ._search import scan_max
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
-from .pauli import PauliWord, dagger, multiply, power, stabilizer_product, to_matrix, vertex_stabilizer
-from .states import build_state, to_dense
-from .states import eigenvalue_of  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
+from .pauli import PauliWord, dagger, multiply, power, product_action, stabilizer_product, vertex_stabilizer
+from .pauli import to_matrix  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
+from .states import build_state, eigenvalue_of
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,13 @@ def _require_even(d: int, what: str) -> None:
         raise ValueError(f"{what} needs even d: the value set {{omega^t}} contains -1 only then (got d={d})")
 
 
+def _flip_delta(d: int) -> np.ndarray:
+    """delta(t) = [t = 0] - [t = d/2] over Z_d, the sum (2/d) sum_{k odd}
+    cos(2 pi k t / d) that one Bell term contributes at exponent t."""
+    t = np.arange(d)
+    return (t == 0).astype(np.int64) - (t == d // 2)
+
+
 def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment,
                          tolerance: float = TOLERANCE) -> float:
     """Local-realistic value of the Bell expression for one assignment.
@@ -115,15 +125,15 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     """
     _require_even(g.d, "Bell expression")
     start = time.perf_counter()
-    d, n, h = g.d, g.n, g.d // 2
+    d, n = g.d, g.n
     space = d ** (2 * n)
     if space > cap:
         raise CapExceededError(f"Bell search needs {space} = {d}^{2 * n} assignments, cap is {cap}")
     # rows over (a, b): the n site rows a_v + (adj b)_v, then the collective
     # row sum(a), whose table enters negated
     forms = np.vstack([np.hstack([np.eye(n, dtype=np.int64), g.adj]), np.repeat([1, 0], n)])
-    site = (np.arange(d) == 0).astype(np.int64) - (np.arange(d) == h)
-    best, witness = scan_max(forms, [site] * n + [-site], d)
+    delta = _flip_delta(d)
+    best, witness = scan_max(forms, [delta] * n + [-delta], d)
     return BoundReport(
         kind="bell_classical",
         classical_bound=float(best),
@@ -145,8 +155,16 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
     z - t + [sum(s) = d/2] - [sum(s) = 0].  z = n forces sum(s) = 0: n - 1.
     z = n - 1 with t = 0 leaves one site s not in {0, d/2}, so sum(s) = s is
     neither: n - 1.  Otherwise z - t <= n - 2: at most n - 1.  a = b = 0
-    attains n - 1.  Within the dense cap the operator matrix is checked
-    against the exact state: hermiticity, expectation, spectral maximum.
+    attains n - 1.
+
+    Within the dense cap an exact oracle checks the value without the word
+    identity.  Expectation: the eigen-exponent of every odd power of every
+    stabilizer and of X_V on the exact state, each worth delta(e) = [e = 0] -
+    [e = d/2], summed as integers.  Hermiticity: w^d = I for every term word w,
+    so each term's odd powers are closed under the adjoint;
+    notes.hermiticity_defect counts the words failing it.  Spectral maximum:
+    on the basis Z^s|G>, s in Z_d^n, the operator is diagonal with eigenvalue
+    sum_v delta(s_v) + delta(sum(s)), maximized by a scan at s = 0.
     """
     require_ghz(g, "Bell operator expectation")
     start = time.perf_counter()
@@ -160,24 +178,28 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
     oracle_value = None
     agreement = None
     notes = {}
-    dim = d**n
-    if dim <= dense_cap:
-        stabs = [vertex_stabilizer(g, v) for v in range(n)]
-        bell = np.zeros((dim, dim), dtype=complex)
+    if d**n <= dense_cap:
+        psi = build_state(g)
+        delta = _flip_delta(d)
+        bases = [(vertex_stabilizer(g, v), 1) for v in range(n)] + [(coll, -1)]
+        total, non_hermitian, eigenstate = 0, 0, True
         for k in range(1, d, 2):
-            term = sum(to_matrix(power(stab, k), dense_cap=dense_cap) for stab in stabs)
-            term = term - to_matrix(power(coll, k), dense_cap=dense_cap)
-            bell += (2 / d) * term
-        herm_defect = float(np.abs(bell - bell.conj().T).max())
-        vec = to_dense(build_state(g), dense_cap=dense_cap)
-        expect = complex(vec.conj() @ (bell @ vec))
-        spectral_max = float(np.linalg.eigvalsh((bell + bell.conj().T) / 2)[-1])
-        oracle_value = float(expect.real)
-        agreement = (abs(oracle_value - value) <= tolerance
-                     and abs(expect.imag) <= tolerance
-                     and herm_defect <= 1e-12
-                     and spectral_max <= value + tolerance)
-        notes = {"hermiticity_defect": herm_defect, "spectral_max": spectral_max}
+            for base, sign in bases:
+                word = power(base, k)
+                non_hermitian += not power(word, d).is_identity()
+                e = eigenvalue_of(word, psi)
+                if e in (0, d // 2):
+                    total += sign * int(delta[e])
+                else:
+                    eigenstate = False
+        oracle_value = 2 * total / d
+        forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        best, witness = scan_max(forms, [delta] * (n + 1), d)
+        spectral_max = float(best)
+        agreement = (eigenstate and non_hermitian == 0
+                     and abs(oracle_value - value) <= tolerance
+                     and spectral_max == value and not any(witness))
+        notes = {"hermiticity_defect": float(non_hermitian), "spectral_max": spectral_max}
     return BoundReport(
         kind="bell_quantum",
         classical_bound=float(n - 1),
@@ -360,26 +382,29 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
     Each of the n+2 operator rows reduces symbolically to a pure phase: the
     shift row and every stabilizer row to the identity, the product row to
     the flip -1 (entering negated).  Each hermitized row then contributes
-    exactly +1 on any state, so the value is n+2.  Within the dense cap every
-    row matrix is compared against its phase times the identity.
+    exactly +1 on any state, so the value is n+2.  Within the dense cap each
+    row's factors are composed again as exact monomial actions on the basis,
+    without ``multiply``, and the product must be the identity permutation
+    carrying the expected phase on every basis state.
     """
     require_ghz(g, "contextuality value")
     start = time.perf_counter()
     d, n = g.d, g.n
     coll = PauliWord.all_x(d, n)
+    stabs = [vertex_stabilizer(g, v) for v in range(n)]
 
-    rows: list[tuple[str, PauliWord, int]] = []
-    shift_product = PauliWord.identity(d, n)
+    # (name, factors of the row operator in product order, expected phase)
+    rows: list[tuple[str, list[PauliWord], int]] = [
+        ("shift_row", [dagger(coll)] + [PauliWord.single_x(d, n, v) for v in range(n)], 0)]
     for v in range(n):
-        shift_product = multiply(shift_product, PauliWord.single_x(d, n, v))
-    rows.append(("shift_row", multiply(dagger(coll), shift_product), 0))
-    for v in range(n):
-        observable = PauliWord(d, np.eye(g.n, dtype=np.int64)[v], g.adj[:, v])
-        rows.append((f"stabilizer_row_{v}", multiply(dagger(vertex_stabilizer(g, v)), observable), 0))
-    rows.append(("product_row", multiply(dagger(coll), stabilizer_product(g, range(n))), d // 2))
+        local = [PauliWord.single_x(d, n, v)] + [PauliWord.single_z(d, n, u, int(g.adj[u, v]))
+                                                 for u in range(n) if g.adj[u, v]]
+        rows.append((f"stabilizer_row_{v}", [dagger(stabs[v])] + local, 0))
+    rows.append(("product_row", [dagger(coll)] + stabs, d // 2))
 
     word_checks = {}
-    for name, word, expected_phase in rows:
+    for name, factors, expected_phase in rows:
+        word = reduce(multiply, factors)
         word_checks[name] = (not word.x_exp.any() and not word.z_exp.any()
                              and word.phase_exp == expected_phase)
     if not all(word_checks.values()):
@@ -390,17 +415,16 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
     agreement = None
     dim = d**n
     if dim <= dense_cap:
-        total = 0.0
-        max_defect = 0.0
-        for name, word, expected_phase in rows:
-            mat = to_matrix(word, dense_cap=dense_cap)
-            target = np.exp(2j * np.pi * expected_phase / d) * np.eye(dim)
-            max_defect = max(max_defect, float(np.abs(mat - target).max()))
-            sign = -1.0 if name == "product_row" else 1.0
-            # hermitized row is a multiple of the identity; its level is trace/dim
-            total += sign * float(np.real(np.trace(mat + mat.conj().T)) / (2 * dim))
-        oracle_value = total
-        agreement = max_defect <= 1e-12 and abs(total - value) <= tolerance
+        delta = _flip_delta(d)
+        total, exact = 0, True
+        for name, factors, expected_phase in rows:
+            index, phase = product_action(factors)
+            exact &= bool(np.array_equal(index, np.arange(dim)) and (phase == expected_phase).all())
+            # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
+            sign = -1 if name == "product_row" else 1
+            total += sign * int(delta[phase[0]])
+        oracle_value = float(total)
+        agreement = exact and abs(oracle_value - value) <= tolerance
     bound = lattice_bound_closed(n + 1, d)
     return BoundReport(
         kind="ks_quantum",

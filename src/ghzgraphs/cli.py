@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=SEARCH_CAP,
                         help="brute-force search cap (assignments / lattice points)")
     common.add_argument("--dense-cap", type=int, default=DENSE_CAP,
-                        help="largest dense matrix dimension")
+                        help="largest d^n at which the quantum oracles run")
     common.add_argument("--tolerance", type=float, default=TOLERANCE,
                         help="tolerance for real-valued comparisons")
     common.add_argument("--format", choices=("json", "text"), default="json",

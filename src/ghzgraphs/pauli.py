@@ -4,6 +4,9 @@ A word is omega^p * prod_v X_v^{x_v} Z_v^{z_v} with omega = exp(2 pi i / d),
 all exponents in Z_d, and the X factor left of the Z factor on every qudit.
 Multiplication only ever moves a Z block past an X block, which costs
 omega^{z.x}, so everything stays integer until a dense matrix is requested.
+A word's action on the computational basis is a monomial map, held exactly as
+d^n integer pairs by ``word_action``; ``to_matrix`` builds the dense d^n x d^n
+matrix and serves as the test oracle.
 For even d the value -1 is omega^{d/2}; no separate sign is tracked.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._search import counter_digits
-from .defaults import DENSE_CAP
+from .defaults import DENSE_CAP, STATE_CAP
 from .errors import CapExceededError
 from .graphs import WeightedGraph
 
@@ -153,6 +156,48 @@ def to_matrix(w: PauliWord, dense_cap: int = DENSE_CAP) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[rows, np.arange(dim)] = np.exp(2j * np.pi * phases / w.d)
     return mat
+
+
+def word_action(w: PauliWord, state_cap: int = STATE_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Exact monomial action w|s> = omega^{phase[s]} |index[s]> over the basis.
+
+    s runs in counter order (qudit 0 most significant); index[s] is the
+    position of s + x and phase[s] = p + z.s mod d.  These are the d^n
+    nonzero entries of ``to_matrix(w)``, computed by a separate route (a
+    roll of the index grid and broadcast phases) so each checks the other.
+    """
+    dim = w.d**w.n
+    if dim > state_cap:
+        raise CapExceededError(f"word action of size {dim} exceeds cap {state_cap}")
+    shape = (w.d,) * w.n
+    index = np.arange(dim).reshape(shape)
+    if w.x_exp.any():
+        # roll by -x puts the entry at s + x into position s
+        index = np.roll(index, [-int(x) for x in w.x_exp], axis=tuple(range(w.n)))
+    phase = np.full(shape, w.phase_exp, dtype=np.int64)
+    for v, z in enumerate(w.z_exp):
+        if z:
+            phase = phase + int(z) * np.arange(w.d).reshape((1,) * v + (w.d,) + (1,) * (w.n - v - 1))
+    return index.reshape(-1), phase.reshape(-1) % w.d
+
+
+def product_action(words, state_cap: int = STATE_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Exact monomial action of the product words[0] words[1] ... words[-1].
+
+    The factors act right to left; each one gathers the running index and
+    adds its phases there, mod d, so the product is formed without
+    ``multiply`` and can check it.
+    """
+    words = list(words)
+    if not words:
+        raise ValueError("need at least one word")
+    for w in words[1:]:
+        _check_same_space(words[0], w)
+    index, phase = word_action(words[-1], state_cap)
+    for w in reversed(words[:-1]):
+        w_index, w_phase = word_action(w, state_cap)
+        index, phase = w_index[index], (phase + w_phase[index]) % w.d
+    return index, phase
 
 
 def render_word(w: PauliWord, dagger_x: bool = False) -> str:

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 import ghzgraphs
-from ghzgraphs import bounds
+from ghzgraphs import bounds, pauli, states
 from ghzgraphs.bounds import (
     ClassicalAssignment,
     bell_classical_max,
@@ -22,6 +23,7 @@ from ghzgraphs.bounds import (
 )
 from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
+from ghzgraphs.paradox import mermin_table
 from ghzgraphs.pauli import PauliWord
 
 
@@ -140,6 +142,12 @@ class TestBellQuantum:
         with pytest.raises(InvariantError, match="not the flipped collective shift"):
             bell_quantum(triangle(2))
 
+    @pytest.mark.parametrize("g", [triangle(2), k4(4, 1, 1, 0), k4(6, 1, 1, 1)], ids=["triangle_d2", "k4_d4", "k4_d6"])
+    def test_oracle_is_exact(self, g):
+        report = bell_quantum(g)
+        assert report.oracle_value == float(g.n + 1)
+        assert report.notes == {"hermiticity_defect": 0.0, "spectral_max": float(g.n + 1)}
+
     def test_invariant_error_is_an_exported_runtime_error(self):
         assert ghzgraphs.InvariantError is InvariantError
         assert issubclass(InvariantError, RuntimeError)
@@ -255,6 +263,30 @@ class TestKsBounds:
             ks_classical_max(path)
         with pytest.raises(NotGhzGraphError):
             ks_quantum(path)
+
+
+class TestExactOracles:
+    def test_default_cap_k4_d8_in_under_a_second(self):
+        g = k4(8, 1, 2, 1)  # 8^4 = 4096, the default dense cap
+        for oracle in (bell_quantum, ks_quantum):
+            start = time.perf_counter()
+            report = oracle(g)
+            elapsed = time.perf_counter() - start
+            assert report.oracle_agreement is True
+            assert elapsed < 1.0, f"{oracle.__name__} took {elapsed:.2f} s"
+
+    def test_no_dense_matrix_or_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix or eigensolver on the production path")
+
+        for module in (pauli, bounds, states):
+            monkeypatch.setattr(module, "to_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        g = k4(6, 1, 1, 1)
+        assert bell_quantum(g).oracle_agreement is True
+        assert ks_quantum(g).oracle_agreement is True
+        assert states.verify_stabilizers(g).all_pass
+        assert len(mermin_table(g).rows) == g.n + 1
 
 
 class TestReports:

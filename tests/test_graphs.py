@@ -220,6 +220,15 @@ class TestSubgraphs:
         for vs in find_ghz_subgraphs(g, 3, 5):
             assert classify_ghz(subgraph(g, vs)).is_ghz
 
+    def test_find_ghz_subgraphs_cap(self):
+        # sum of C(30, k) over k >= 3 is 1073741358 subsets: refused before the walk
+        with pytest.raises(CapExceededError, match="1073741358"):
+            find_ghz_subgraphs(WeightedGraph(2, np.zeros((30, 30), dtype=int)))
+        g = complete_4j3(2)  # n = 11: 1981 subsets
+        assert find_ghz_subgraphs(g, cap=1981)
+        with pytest.raises(CapExceededError):
+            find_ghz_subgraphs(g, cap=1980)
+
     def test_find_ghz_subgraphs_bad_bounds(self):
         with pytest.raises(ValueError):
             find_ghz_subgraphs(triangle(2), 2, 3)

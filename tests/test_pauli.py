@@ -12,10 +12,12 @@ from ghzgraphs.pauli import (
     dagger,
     multiply,
     power,
+    product_action,
     render_word,
     stabilizer_product,
     to_matrix,
     vertex_stabilizer,
+    word_action,
 )
 
 
@@ -265,6 +267,14 @@ class TestDense:
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
             to_matrix(PauliWord.identity(2, 13), dense_cap=4096)
+
+    def test_word_action_cap_and_operand_checks(self):
+        with pytest.raises(CapExceededError):
+            word_action(PauliWord.identity(2, 13), state_cap=4096)
+        with pytest.raises(ValueError):
+            product_action([])
+        with pytest.raises(ValueError):
+            product_action([PauliWord.identity(2, 2), PauliWord.identity(3, 2)])
 
 
 class TestRendering:

@@ -1,6 +1,7 @@
 """Property tests: closed forms and fast paths against their brute-force oracles."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from ghzgraphs.graphs import (  # noqa: E402
     odd_loop,
     triangle,
 )
+from ghzgraphs.pauli import PauliWord, power, product_action, to_matrix, vertex_stabilizer, word_action  # noqa: E402
+from ghzgraphs.states import build_state, to_dense  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -55,6 +58,23 @@ def weighted_graphs(draw):
     return WeightedGraph(d, adj)
 
 
+@st.composite
+def factor_lists(draw):
+    """One to four random Weyl words on a common (d, n)."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    word = st.builds(lambda x, z, p: PauliWord(d, x, z, p), exponents, exponents, st.integers(0, d - 1))
+    return draw(st.lists(word, min_size=1, max_size=4))
+
+
+def monomial_matrix(index, phase, d):
+    """Dense matrix of a monomial action, its entries written as to_matrix writes them."""
+    mat = np.zeros((index.size, index.size), dtype=complex)
+    mat[index, np.arange(index.size)] = np.exp(2j * np.pi * phase / d)
+    return mat
+
+
 def pair_loop_coprime_pair(weights, d, skip, strict):
     """Oracle: the first pair b < c (both != skip) in lexicographic order."""
     others = [u for u in range(len(weights)) if u != skip]
@@ -80,6 +100,34 @@ def test_bell_value_agrees_with_dense_oracle(g):
     report = bell_quantum(g)
     assert report.quantum_value == g.n + 1
     assert report.oracle_agreement is True
+    # the dense Bell operator, from the matrices of its term words
+    d, n = g.d, g.n
+    assert d**n <= 1296
+    coll = PauliWord.all_x(d, n)
+    bell = sum((2 / d) * (sum(to_matrix(power(vertex_stabilizer(g, v), k)) for v in range(n))
+                          - to_matrix(power(coll, k)))
+               for k in range(1, d, 2))
+    assert np.abs(bell - bell.conj().T).max() <= 1e-12
+    # its spectrum is lambda(s) = sum_v delta(s_v) + delta(sum(s)) over Z_d^n
+    s = np.indices((d,) * n).reshape(n, -1)
+
+    def delta(t):
+        return (t % d == 0).astype(int) - (t % d == d // 2)
+
+    lam = delta(s).sum(axis=0) + delta(s.sum(axis=0))
+    assert np.abs(np.linalg.eigvalsh(bell) - np.sort(lam)).max() <= 1e-12
+    assert report.notes["spectral_max"] == lam.max()
+    vec = to_dense(build_state(g))
+    assert abs(vec.conj() @ bell @ vec - report.oracle_value) <= 1e-9
+
+
+@PROPERTY
+@given(factor_lists())
+def test_word_actions_match_dense_matrices(words):
+    first = words[0]
+    assert np.array_equal(monomial_matrix(*word_action(first), first.d), to_matrix(first))
+    product = reduce(np.matmul, [to_matrix(w) for w in words])
+    assert np.abs(monomial_matrix(*product_action(words), first.d) - product).max() <= 1e-12
 
 
 @PROPERTY
