@@ -163,8 +163,12 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
     [e = d/2], summed as integers.  Hermiticity: w^d = I for every term word w,
     so each term's odd powers are closed under the adjoint;
     notes.hermiticity_defect counts the words failing it.  Spectral maximum:
-    on the basis Z^s|G>, s in Z_d^n, the operator is diagonal with eigenvalue
-    sum_v delta(s_v) + delta(sum(s)), maximized by a scan at s = 0.
+    a term word w = omega^p X^x Z^z with w|G> = omega^e |G> has w Z^s|G> =
+    omega^(e - x.s) Z^s|G>, and its d/2 odd powers weigh (2/d) sum_k
+    omega^(k t) = delta(t) there.  On the basis Z^s|G>, s in Z_d^n, the
+    operator is thus diagonal with eigenvalue sum_w sign_w delta(e_w - x_w.s),
+    built from the measured exponents and scanned over Z_d^n; it must top
+    out at n + 1, first reached at s = 0 (the graph state itself).
     """
     require_ghz(g, "Bell operator expectation")
     start = time.perf_counter()
@@ -181,24 +185,27 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
     if d**n <= dense_cap:
         psi = build_state(g)
         delta = _flip_delta(d)
-        bases = [(vertex_stabilizer(g, v), 1) for v in range(n)] + [(coll, -1)]
+        t = np.arange(d)
         total, non_hermitian, eigenstate = 0, 0, True
-        for k in range(1, d, 2):
-            for base, sign in bases:
-                word = power(base, k)
-                non_hermitian += not power(word, d).is_identity()
-                e = eigenvalue_of(word, psi)
-                if e in (0, d // 2):
-                    total += sign * int(delta[e])
-                else:
-                    eigenstate = False
-        oracle_value = 2 * total / d
-        forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-        best, witness = scan_max(forms, [delta] * (n + 1), d)
-        spectral_max = float(best)
-        agreement = (eigenstate and non_hermitian == 0
-                     and abs(oracle_value - value) <= tolerance
-                     and spectral_max == value and not any(witness))
+        forms, tables = [], []
+        for base, sign in [(vertex_stabilizer(g, v), 1) for v in range(n)] + [(coll, -1)]:
+            words = [power(base, k) for k in range(1, d, 2)]
+            non_hermitian += sum(not power(w, d).is_identity() for w in words)
+            exps = [eigenvalue_of(w, psi) for w in words]
+            eigenstate &= all(e in (0, d // 2) for e in exps)
+            if eigenstate:
+                total += sign * int(delta[exps].sum())
+                # row x.s of the scan; its table is the term's eigenvalue on Z^s|G>
+                forms.append(base.x_exp)
+                tables.append(sign * delta[(exps[0] - t) % d])
+        spectral_max = None
+        agreement = False
+        if eigenstate:
+            oracle_value = 2 * total / d
+            best, witness = scan_max(np.array(forms), tables, d)
+            spectral_max = float(best)
+            agreement = (non_hermitian == 0 and abs(oracle_value - value) <= tolerance
+                         and spectral_max == value and not any(witness))
         notes = {"hermiticity_defect": float(non_hermitian), "spectral_max": spectral_max}
     return BoundReport(
         kind="bell_quantum",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import digit_chunks
-from .defaults import DENSE_CAP, SEARCH_CAP
+from .defaults import DENSE_CAP, SEARCH_CAP, SUBSET_CAP
 from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
 #: hard limit for the brute-force canonical form (n! permutations)
@@ -227,21 +227,21 @@ def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:
     return WeightedGraph(g.d, g.adj[np.ix_(idx, idx)])
 
 
-def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None = None,
-                       cap: int = SEARCH_CAP) -> list[tuple[int, ...]]:
+def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None = None) -> list[tuple[int, ...]]:
     """Vertex subsets whose induced subgraph passes the GHZ test.
 
     Subsets come sorted by size, lexicographic within each size.  The walk
-    visits sum_k C(n, k) subsets and is refused before it starts when that
-    exceeds cap.
+    visits sum_k C(n, k) subsets, one GHZ test each, and is refused before
+    it starts when that exceeds ``SUBSET_CAP``.
     """
     if max_size is None:
         max_size = g.n
     if not 3 <= min_size <= max_size <= g.n:
         raise ValueError(f"need 3 <= min_size <= max_size <= n, got ({min_size}, {max_size}) for n={g.n}")
     space = sum(math.comb(g.n, k) for k in range(min_size, max_size + 1))
-    if space > cap:
-        raise CapExceededError(f"subgraph search at n={g.n} visits {space} vertex subsets, cap is {cap}")
+    if space > SUBSET_CAP:
+        raise CapExceededError(f"subgraph search at n={g.n} visits {space} vertex subsets, cap is {SUBSET_CAP}; "
+                               "narrow min_size/max_size")
     found = []
     for k in range(min_size, max_size + 1):
         for vs in itertools.combinations(range(g.n), k):

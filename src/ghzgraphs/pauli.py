@@ -158,17 +158,18 @@ def to_matrix(w: PauliWord, dense_cap: int = DENSE_CAP) -> np.ndarray:
     return mat
 
 
-def word_action(w: PauliWord, state_cap: int = STATE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     """Exact monomial action w|s> = omega^{phase[s]} |index[s]> over the basis.
 
     s runs in counter order (qudit 0 most significant); index[s] is the
     position of s + x and phase[s] = p + z.s mod d.  These are the d^n
     nonzero entries of ``to_matrix(w)``, computed by a separate route (a
     roll of the index grid and broadcast phases) so each checks the other.
+    The two arrays hold d^n entries each, at most ``STATE_CAP``.
     """
     dim = w.d**w.n
-    if dim > state_cap:
-        raise CapExceededError(f"word action of size {dim} exceeds cap {state_cap}")
+    if dim > STATE_CAP:
+        raise CapExceededError(f"word action of size {dim} exceeds cap {STATE_CAP}")
     shape = (w.d,) * w.n
     index = np.arange(dim).reshape(shape)
     if w.x_exp.any():
@@ -181,7 +182,7 @@ def word_action(w: PauliWord, state_cap: int = STATE_CAP) -> tuple[np.ndarray, n
     return index.reshape(-1), phase.reshape(-1) % w.d
 
 
-def product_action(words, state_cap: int = STATE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def product_action(words) -> tuple[np.ndarray, np.ndarray]:
     """Exact monomial action of the product words[0] words[1] ... words[-1].
 
     The factors act right to left; each one gathers the running index and
@@ -193,9 +194,9 @@ def product_action(words, state_cap: int = STATE_CAP) -> tuple[np.ndarray, np.nd
         raise ValueError("need at least one word")
     for w in words[1:]:
         _check_same_space(words[0], w)
-    index, phase = word_action(words[-1], state_cap)
+    index, phase = word_action(words[-1])
     for w in reversed(words[:-1]):
-        w_index, w_phase = word_action(w, state_cap)
+        w_index, w_phase = word_action(w)
         index, phase = w_index[index], (phase + w_phase[index]) % w.d
     return index, phase
 

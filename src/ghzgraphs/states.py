@@ -16,7 +16,7 @@ from ._search import counter_digits
 from .defaults import DENSE_CAP, STATE_CAP
 from .errors import CapExceededError
 from .graphs import WeightedGraph, classify_ghz
-from .pauli import PauliWord, power, stabilizer_product, to_matrix, vertex_stabilizer
+from .pauli import PauliWord, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
 
 
 class PhaseState:
@@ -81,15 +81,9 @@ def apply_word(w: PauliWord, state: PhaseState) -> PhaseState:
     """Action of a Weyl word: w|s> = omega^{p + z.s} |s + x>, reindexed exactly."""
     if w.d != state.d or w.n != state.n:
         raise ValueError(f"dimension mismatch: word (d={w.d}, n={w.n}) vs state (d={state.d}, n={state.n})")
-    grid = state.grid()
-    shifts = tuple(int(s) for s in w.x_exp)
-    if any(shifts):
-        grid = np.roll(grid, shift=shifts, axis=tuple(range(state.n)))
-    out = grid + (w.phase_exp - int(np.dot(w.z_exp, w.x_exp)))
-    for v in range(state.n):
-        zv = int(w.z_exp[v])
-        if zv:
-            out = out + zv * _axis_range(state.d, state.n, v)
+    index, phase = word_action(w)
+    out = np.empty_like(state.exponents)
+    out[index] = state.exponents + phase
     return PhaseState(state.d, state.n, out)
 
 

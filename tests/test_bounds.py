@@ -148,6 +148,20 @@ class TestBellQuantum:
         assert report.oracle_value == float(g.n + 1)
         assert report.notes == {"hermiticity_defect": 0.0, "spectral_max": float(g.n + 1)}
 
+    def test_spectral_max_follows_the_measured_exponents(self, monkeypatch):
+        # a stabilizer of vertex 0 wrongly measured at -1 moves the top of the
+        # diagonal to the classical n - 1, so the oracle disagrees
+        g = k4(4, 1, 1, 0)
+        exact = bounds.eigenvalue_of
+
+        def misread(w, psi):
+            return g.d // 2 if w.x_exp.tolist() == [1, 0, 0, 0] else exact(w, psi)
+
+        monkeypatch.setattr(bounds, "eigenvalue_of", misread)
+        report = bell_quantum(g)
+        assert report.oracle_agreement is False
+        assert report.notes["spectral_max"] == float(g.n - 1)
+
     def test_invariant_error_is_an_exported_runtime_error(self):
         assert ghzgraphs.InvariantError is InvariantError
         assert issubclass(InvariantError, RuntimeError)

@@ -1,6 +1,7 @@
 """Structural predicates, families, enumeration, and the graph file format."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -221,13 +222,14 @@ class TestSubgraphs:
             assert classify_ghz(subgraph(g, vs)).is_ghz
 
     def test_find_ghz_subgraphs_cap(self):
-        # sum of C(30, k) over k >= 3 is 1073741358 subsets: refused before the walk
-        with pytest.raises(CapExceededError, match="1073741358"):
-            find_ghz_subgraphs(WeightedGraph(2, np.zeros((30, 30), dtype=int)))
-        g = complete_4j3(2)  # n = 11: 1981 subsets
-        assert find_ghz_subgraphs(g, cap=1981)
-        with pytest.raises(CapExceededError):
-            find_ghz_subgraphs(g, cap=1980)
+        # sum of C(26, k) over k >= 3 is 67108512 subsets, hours of GHZ tests: refused before the walk
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="67108512"):
+            find_ghz_subgraphs(WeightedGraph(2, np.zeros((26, 26), dtype=int)))
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(CapExceededError, match="130918"):
+            find_ghz_subgraphs(WeightedGraph(2, np.zeros((17, 17), dtype=int)))
+        assert len(find_ghz_subgraphs(complete_4j3(2))) == 496  # n = 11: 1981 subsets, under the cap
 
     def test_find_ghz_subgraphs_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -270,7 +270,7 @@ class TestDense:
 
     def test_word_action_cap_and_operand_checks(self):
         with pytest.raises(CapExceededError):
-            word_action(PauliWord.identity(2, 13), state_cap=4096)
+            word_action(PauliWord.identity(2, 24))  # 2^24 > STATE_CAP, refused before allocating
         with pytest.raises(ValueError):
             product_action([])
         with pytest.raises(ValueError):
