@@ -10,7 +10,6 @@ matrix and no eigensolver; the dense matrices are the tests' oracle).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any
@@ -57,21 +56,6 @@ class BoundReport:
     oracle_value: float | None = None
     oracle_agreement: bool | None = None  # None = oracle skipped
     notes: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
-            "kind": self.kind,
-            "classical_bound": self.classical_bound,
-            "quantum_value": self.quantum_value,
-            "witness": self.witness,
-            "oracle_value": self.oracle_value,
-            "oracle_agreement": "skipped" if self.oracle_agreement is None else self.oracle_agreement,
-            "notes": self.notes,
-        }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def _require_even(d: int, what: str) -> None:
@@ -124,7 +108,6 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     (a_1..a_n, b_1..b_n) attaining the maximum.
     """
     _require_even(g.d, "Bell expression")
-    start = time.perf_counter()
     d, n = g.d, g.n
     space = d ** (2 * n)
     if space > cap:
@@ -139,11 +122,10 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
         classical_bound=float(best),
         witness={"a_exp": list(witness[:n]), "b_exp": list(witness[n:])},
         notes={"searched": space},
-        elapsed=time.perf_counter() - start,
     )
 
 
-def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = TOLERANCE) -> BoundReport:
+def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
     """Graph-state value n + 1 and local-realistic bound n - 1 of the Bell
     operator with shift/phase settings.
 
@@ -171,7 +153,6 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
     out at n + 1, first reached at s = 0 (the graph state itself).
     """
     require_ghz(g, "Bell operator expectation")
-    start = time.perf_counter()
     d, n = g.d, g.n
     coll = PauliWord.all_x(d, n)
     flip = PauliWord(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), d // 2)
@@ -204,7 +185,7 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
             oracle_value = 2 * total / d
             best, witness = scan_max(np.array(forms), tables, d)
             spectral_max = float(best)
-            agreement = (non_hermitian == 0 and abs(oracle_value - value) <= tolerance
+            agreement = (non_hermitian == 0 and oracle_value == value
                          and spectral_max == value and not any(witness))
         notes = {"hermiticity_defect": float(non_hermitian), "spectral_max": spectral_max}
     return BoundReport(
@@ -214,7 +195,6 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float 
         oracle_value=oracle_value,
         oracle_agreement=agreement,
         notes=notes,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -265,7 +245,6 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got (n={n}, d={d})")
-    start = time.perf_counter()
     space = d**n
     if space > cap:
         raise CapExceededError(f"lattice scan needs {space} = {d}^{n} points, cap is {cap}")
@@ -281,7 +260,6 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
         oracle_value=closed,
         oracle_agreement=None if closed is None else abs(best - closed) <= TOLERANCE,
         notes={"searched": space},
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -301,7 +279,6 @@ class SweepResult:
     scaled_diffs: tuple[float, ...]
     peak_index: int
     max_value: float
-    argmax: int
 
 
 def lattice_bound_sweep(n: int, d: int) -> SweepResult:
@@ -321,9 +298,8 @@ def lattice_bound_sweep(n: int, d: int) -> SweepResult:
     denom = 2 * math.sin(theta / 2)
     diffs = tuple((values[m + 1] - values[m]) / denom for m in range(n))
     peak_index = d // 2 - (n + 1) * math.floor(lam)
-    argmax = max(range(n + 1), key=lambda m: values[m])
     return SweepResult(n=n, d=d, lam=lam, values=values, scaled_diffs=diffs,
-                       peak_index=peak_index, max_value=max(values), argmax=argmax)
+                       peak_index=peak_index, max_value=max(values))
 
 
 def _ks_direct_max(g: WeightedGraph) -> tuple[float, dict]:
@@ -362,7 +338,6 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP, tolerance: float =
     cap a direct scan over independent assignments confirms the reduction.
     """
     require_ghz(g, "contextuality bound")
-    start = time.perf_counter()
     d, n = g.d, g.n
     bound = lattice_bound_closed(n + 1, d)
     space = d ** (3 * n + 1)
@@ -379,11 +354,10 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP, tolerance: float =
         oracle_value=oracle_value,
         oracle_agreement=agreement,
         notes={"direct_space": space, "lattice_variables": n + 1},
-        elapsed=time.perf_counter() - start,
     )
 
 
-def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = TOLERANCE) -> BoundReport:
+def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
     """State-independent quantum value of the contextuality expression.
 
     Each of the n+2 operator rows reduces symbolically to a pure phase: the
@@ -395,7 +369,6 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
     carrying the expected phase on every basis state.
     """
     require_ghz(g, "contextuality value")
-    start = time.perf_counter()
     d, n = g.d, g.n
     coll = PauliWord.all_x(d, n)
     stabs = [vertex_stabilizer(g, v) for v in range(n)]
@@ -431,7 +404,7 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
             sign = -1 if name == "product_row" else 1
             total += sign * int(delta[phase[0]])
         oracle_value = float(total)
-        agreement = exact and abs(oracle_value - value) <= tolerance
+        agreement = exact and oracle_value == value
     bound = lattice_bound_closed(n + 1, d)
     return BoundReport(
         kind="ks_quantum",
@@ -440,5 +413,4 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP, tolerance: float = 
         oracle_value=oracle_value,
         oracle_agreement=agreement,
         notes={"word_checks": word_checks, "margin": value - bound},
-        elapsed=time.perf_counter() - start,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -91,7 +92,7 @@ def _skipped(agreement):
 def cmd_check(args) -> int:
     g = graphs.load_graph(args.graph)
     rep = graphs.classify_ghz(g)
-    doc = {"graph": graphs.graph_to_dict(g), **rep.to_json_dict()}
+    doc = {"graph": graphs.graph_to_dict(g), **dataclasses.asdict(rep)}
     _emit(doc, args.format)
     return EXIT_OK if rep.is_ghz else EXIT_PREDICATE_FALSE
 
@@ -115,9 +116,9 @@ def cmd_paradox(args) -> int:
     gen = paradox.genuineness(g)
     certificates = {}
     if args.method in ("algebraic", "both"):
-        certificates["algebraic"] = paradox.check_infeasible_algebraic(system, g).to_json_dict()
+        certificates["algebraic"] = dataclasses.asdict(paradox.check_infeasible_algebraic(system, g))
     if args.method in ("exhaustive", "both"):
-        certificates["exhaustive"] = paradox.check_infeasible_exhaustive(system, cap=args.cap).to_json_dict()
+        certificates["exhaustive"] = dataclasses.asdict(paradox.check_infeasible_exhaustive(system, cap=args.cap))
     doc = {
         "graph": graphs.graph_to_dict(g),
         "system": {"rows": system.num_rows, "variables": system.num_vars,
@@ -133,7 +134,7 @@ def cmd_paradox(args) -> int:
 
 def cmd_bell(args) -> int:
     g = graphs.load_graph(args.graph)
-    quantum = bounds.bell_quantum(g, dense_cap=args.dense_cap, tolerance=args.tolerance)
+    quantum = bounds.bell_quantum(g, dense_cap=args.dense_cap)
     bound = quantum.classical_bound  # closed form; the scan only confirms it, within cap
     witness, searched = None, "skipped"
     with contextlib.suppress(CapExceededError):
@@ -160,7 +161,7 @@ def cmd_bell(args) -> int:
 def cmd_ks(args) -> int:
     g = graphs.load_graph(args.graph)
     classical = bounds.ks_classical_max(g, cap=args.cap, tolerance=args.tolerance)
-    quantum = bounds.ks_quantum(g, dense_cap=args.dense_cap, tolerance=args.tolerance)
+    quantum = bounds.ks_quantum(g, dense_cap=args.dense_cap)
     doc = {
         "kind": "ks",
         "graph": graphs.graph_to_dict(g),
@@ -206,7 +207,7 @@ def cmd_lemma(args) -> int:
 def cmd_state_verify(args) -> int:
     g = graphs.load_graph(args.graph)
     rep = states.verify_stabilizers(g)
-    doc = {"graph": graphs.graph_to_dict(g), **rep.to_json_dict()}
+    doc = {"graph": graphs.graph_to_dict(g), **dataclasses.asdict(rep), "all_pass": rep.all_pass}
     _emit(doc, args.format)
     return EXIT_OK if rep.all_pass else EXIT_PREDICATE_FALSE
 
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dense-cap", type=int, default=DENSE_CAP,
                         help="largest d^n at which the quantum oracles run")
     common.add_argument("--tolerance", type=float, default=TOLERANCE,
-                        help="tolerance for real-valued comparisons")
+                        help="tolerance for the real-valued comparisons of ks and lemma")
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="output rendering")
 

@@ -136,22 +136,6 @@ class GhzReport:
     primary_witnesses: tuple[tuple[int, int] | None, ...]
     failure_reasons: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "degrees": list(self.degrees),
-            "total_weight": self.total_weight,
-            "degrees_divisible": self.degrees_divisible,
-            "weight_nondivisible": self.weight_nondivisible,
-            "is_ghz": self.is_ghz,
-            "is_primary": self.is_primary,
-            "is_weakly_primary": self.is_weakly_primary,
-            "strict_primary": self.strict_primary,
-            "strict_weakly_primary": self.strict_weakly_primary,
-            "primary_witnesses": [list(w) if w is not None else None for w in self.primary_witnesses],
-            "failure_reasons": list(self.failure_reasons),
-        }
-
 
 def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] | None:
     """First pair b < c (both != skip) with gcd(w_b, w_c) == 1 if strict, else gcd(w_b, w_c, d) == 1.
@@ -216,14 +200,19 @@ def require_ghz(g: WeightedGraph, what: str) -> GhzReport:
     return rep
 
 
-def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:
-    """Induced subgraph on the given vertex subset (same modulus)."""
+def _vertex_subset(g: WeightedGraph, vertices) -> list[int]:
+    """The distinct vertices in ascending order, checked non-empty and in range."""
     vs = sorted(set(int(v) for v in vertices))
     if not vs:
         raise ValueError("vertex subset must be non-empty")
     if vs[0] < 0 or vs[-1] >= g.n:
         raise IndexError(f"vertex subset {vs} out of range for n={g.n}")
-    idx = np.array(vs)
+    return vs
+
+
+def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:
+    """Induced subgraph on the given vertex subset (same modulus)."""
+    idx = np.array(_vertex_subset(g, vertices))
     return WeightedGraph(g.d, g.adj[np.ix_(idx, idx)])
 
 

@@ -18,7 +18,7 @@ from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patc
 from ._search import scan_max
 from .defaults import SEARCH_CAP
 from .errors import CapExceededError, InvariantError, NotGhzGraphError
-from .graphs import WeightedGraph, classify_ghz, require_ghz, subgraph
+from .graphs import WeightedGraph, _vertex_subset, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
 
 
@@ -84,17 +84,6 @@ class InfeasibilityCertificate:
     contradiction: tuple[int, int] | None = None
     satisfying_witness: tuple[int, ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "infeasible": self.infeasible,
-            "searched": self.searched,
-            "max_satisfied_rows": self.max_satisfied_rows,
-            "witness_combination": list(self.witness_combination) if self.witness_combination is not None else None,
-            "contradiction": list(self.contradiction) if self.contradiction is not None else None,
-            "satisfying_witness": list(self.satisfying_witness) if self.satisfying_witness is not None else None,
-        }
-
 
 def _paradox_rows(g: WeightedGraph, vs: list[int]) -> ParadoxSystem:
     """Stabilizer rows of the vertices vs over all 2n variables, then their
@@ -121,7 +110,7 @@ def subgraph_paradox(g: WeightedGraph, vertices) -> ParadoxSystem:
     value relation of their product, whose inside-subset Z exponents vanish
     because the induced degrees are divisible by d.
     """
-    vs = sorted(set(int(v) for v in vertices))
+    vs = _vertex_subset(g, vertices)
     rep = classify_ghz(subgraph(g, vs))
     if not rep.is_ghz:
         raise NotGhzGraphError(f"induced subgraph on {vs} is not a GHZ graph; failed: {', '.join(rep.failure_reasons)}")

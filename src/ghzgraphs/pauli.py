@@ -17,7 +17,7 @@ import numpy as np
 from ._search import counter_digits
 from .defaults import DENSE_CAP, STATE_CAP
 from .errors import CapExceededError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _vertex_subset
 
 
 class PauliWord:
@@ -134,22 +134,17 @@ def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
     the total weight and D_v the degrees; on a GHZ graph the Z part vanishes
     and the phase is d/2, i.e. the product is -X_V.
     """
-    vs = sorted(set(int(v) for v in vertices))
-    if not vs:
-        raise ValueError("vertex subset must be non-empty")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise IndexError(f"vertex subset {vs} out of range for n={g.n}")
     word = PauliWord.identity(g.d, g.n)
-    for v in vs:
+    for v in _vertex_subset(g, vertices):
         word = multiply(word, vertex_stabilizer(g, v))
     return word
 
 
-def to_matrix(w: PauliWord, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def to_matrix(w: PauliWord) -> np.ndarray:
     """Dense complex matrix: column s carries omega^{p + z.s} at row s + x."""
     dim = w.d**w.n
-    if dim > dense_cap:
-        raise CapExceededError(f"dense matrix of size {dim} exceeds cap {dense_cap}")
+    if dim > DENSE_CAP:
+        raise CapExceededError(f"dense matrix of size {dim} exceeds cap {DENSE_CAP}")
     digits = counter_digits(np.arange(dim), w.n, w.d)
     rows = w.d ** np.arange(w.n - 1, -1, -1) @ ((digits + w.x_exp[:, None]) % w.d)
     phases = (w.phase_exp + w.z_exp @ digits) % w.d

@@ -62,11 +62,11 @@ def _axis_range(d: int, n: int, v: int) -> np.ndarray:
     return np.arange(d, dtype=np.int64).reshape((1,) * v + (d,) + (1,) * (n - v - 1))
 
 
-def build_state(g: WeightedGraph, state_cap: int = STATE_CAP) -> PhaseState:
+def build_state(g: WeightedGraph) -> PhaseState:
     """Graph state of g: exponent e(s) = sum_{u<v} adj[u][v] s_u s_v mod d."""
     dim = g.d**g.n
-    if dim > state_cap:
-        raise CapExceededError(f"state of size {dim} exceeds cap {state_cap}")
+    if dim > STATE_CAP:
+        raise CapExceededError(f"state of size {dim} exceeds cap {STATE_CAP}")
     e = np.zeros((g.d,) * g.n, dtype=np.int64)
     for u in range(g.n):
         su = _axis_range(g.d, g.n, u)
@@ -116,18 +116,6 @@ class StabilizerReport:
     def all_pass(self) -> bool:
         return self.vertex_check and self.product_word_check and self.flip_check
 
-    def to_json_dict(self) -> dict:
-        return {
-            "is_ghz": self.is_ghz,
-            "vertex_exponents": list(self.vertex_exponents),
-            "vertex_check": self.vertex_check,
-            "product_word_check": self.product_word_check,
-            "flip_exponent": self.flip_exponent,
-            "flip_expected": self.flip_expected,
-            "flip_check": self.flip_check,
-            "all_pass": self.all_pass,
-        }
-
 
 def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     """Check the stabilizer relations of the graph state of g.
@@ -161,15 +149,15 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     )
 
 
-def to_dense(state: PhaseState, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def to_dense(state: PhaseState) -> np.ndarray:
     """Unit-norm complex vector with entries omega^{e(s)} d^{-n/2}."""
     dim = state.d**state.n
-    if dim > dense_cap:
-        raise CapExceededError(f"dense vector of size {dim} exceeds cap {dense_cap}")
+    if dim > DENSE_CAP:
+        raise CapExceededError(f"dense vector of size {dim} exceeds cap {DENSE_CAP}")
     return np.exp(2j * np.pi * state.exponents / state.d) / state.d ** (state.n / 2)
 
 
-def joint_plus_one_dimension(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> int:
+def joint_plus_one_dimension(g: WeightedGraph) -> int:
     """Dimension of the common +1 eigenspace of all vertex stabilizer matrices.
 
     The stabilizers commute and each has order d, so averaging the powers of
@@ -177,11 +165,11 @@ def joint_plus_one_dimension(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> in
     eigenspace; its trace is the dimension.
     """
     dim = g.d**g.n
-    if dim > dense_cap:
-        raise CapExceededError(f"dense projector of size {dim} exceeds cap {dense_cap}")
+    if dim > DENSE_CAP:
+        raise CapExceededError(f"dense projector of size {dim} exceeds cap {DENSE_CAP}")
     proj = np.eye(dim, dtype=complex)
     for v in range(g.n):
         word = vertex_stabilizer(g, v)
-        avg = sum(to_matrix(power(word, k), dense_cap=dense_cap) for k in range(g.d)) / g.d
+        avg = sum(to_matrix(power(word, k)) for k in range(g.d)) / g.d
         proj = proj @ avg
     return int(round(float(proj.trace().real)))

@@ -266,7 +266,7 @@ class TestDense:
 
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
-            to_matrix(PauliWord.identity(2, 13), dense_cap=4096)
+            to_matrix(PauliWord.identity(2, 13))  # 2^13 > DENSE_CAP
 
     def test_word_action_cap_and_operand_checks(self):
         with pytest.raises(CapExceededError):

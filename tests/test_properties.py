@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ghzgraphs.bounds import bell_classical_max, bell_quantum  # noqa: E402
+from ghzgraphs._search import scan_max  # noqa: E402
+from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
     _coprime_pair,
@@ -92,6 +93,19 @@ def test_bell_scan_maximum_is_the_closed_form(g):
     scan = bell_classical_max(g)
     assert scan.classical_bound == g.n - 1 == bell_quantum(g, dense_cap=1).classical_bound
     assert scan.witness == {"a_exp": [0] * g.n, "b_exp": [0] * g.n}
+
+
+@PROPERTY
+@given(relabelled_ghz_graphs())
+def test_reduced_bell_scan_is_the_classical_maximum(g):
+    # bell_quantum's bound proof: the site exponents s = a + adj b range over Z_d^n
+    # and the collective exponent is sum(s), so the d^n scan of
+    # sum_v delta(s_v) - delta(sum(s)) gives the d^(2n) scan's maximum
+    delta = _flip_delta(g.d)
+    forms = np.vstack([np.eye(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)])
+    best, witness = scan_max(forms, [delta] * g.n + [-delta], g.d)
+    assert best == bell_classical_max(g).classical_bound == g.n - 1
+    assert witness == (0,) * g.n
 
 
 @settings(PROPERTY, max_examples=12)

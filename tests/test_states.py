@@ -7,7 +7,7 @@ import pytest
 
 from conftest import dense_graph_state, dense_word
 from ghzgraphs.errors import CapExceededError
-from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
+from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.pauli import PauliWord, multiply, to_matrix, vertex_stabilizer
 from ghzgraphs.states import (
     PhaseState,
@@ -57,7 +57,7 @@ class TestBuildState:
 
     def test_state_cap(self):
         with pytest.raises(CapExceededError):
-            build_state(triangle(2), state_cap=4)
+            build_state(odd_loop(25))  # 2^25 > STATE_CAP, refused before allocating
 
     def test_dump_order_is_row_major(self):
         g = WeightedGraph(3, [[0, 1], [1, 0]])
@@ -183,7 +183,7 @@ class TestDense:
 
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
-            to_dense(build_state(k4(4, 1, 1, 0)), dense_cap=16)
+            to_dense(build_state(odd_loop(13)))  # 2^13 > DENSE_CAP
 
 
 class TestJointEigenspace:
