@@ -70,8 +70,7 @@ def _flip_delta(d: int) -> np.ndarray:
     return (t == 0).astype(np.int64) - (t == d // 2)
 
 
-def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment,
-                         tolerance: float = TOLERANCE) -> float:
+def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> float:
     """Local-realistic value of the Bell expression for one assignment.
 
     Both forms are evaluated and must agree: the Kronecker-delta form
@@ -96,7 +95,7 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment,
     for k in range(1, d, 2):
         series += (2 / d) * (sum(math.cos(k * theta * int(e)) for e in site_exp)
                              - math.cos(k * theta * coll_exp))
-    if abs(series - value) > tolerance:
+    if abs(series - value) > TOLERANCE:
         raise InvariantError(f"delta form {value} and cosine series {series} disagree")
     return value
 
@@ -328,7 +327,7 @@ def _ks_direct_max(g: WeightedGraph) -> tuple[float, dict]:
     return best, witness
 
 
-def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP, tolerance: float = TOLERANCE) -> BoundReport:
+def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     """Noncontextual bound of the contextuality expression.
 
     Substituting y_v = x_v + sum_u adj[u][v] z_u - s_v for the stabilizer
@@ -346,7 +345,7 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP, tolerance: float =
     witness = None
     if space <= cap:
         oracle_value, witness = _ks_direct_max(g)
-        agreement = abs(oracle_value - bound) <= tolerance
+        agreement = abs(oracle_value - bound) <= TOLERANCE
     return BoundReport(
         kind="ks_classical",
         classical_bound=bound,

@@ -84,9 +84,14 @@ def _emit(doc: dict, fmt: str) -> None:
         print("\n".join(_text_lines(doc)))
 
 
-def _skipped(agreement):
-    """An oracle agreement for output: None means the oracle did not run."""
-    return "skipped" if agreement is None else agreement
+def _agreement(field: str, agreement):
+    """An oracle agreement for output: None (the oracle did not run) prints as
+    "skipped", and a disagreement fails the command with exit 4."""
+    if agreement is None:
+        return "skipped"
+    if not agreement:
+        raise InvariantError(f"{field} is false: an oracle disagrees with the value it checks")
+    return True
 
 
 def cmd_check(args) -> int:
@@ -124,7 +129,7 @@ def cmd_paradox(args) -> int:
         "system": {"rows": system.num_rows, "variables": system.num_vars,
                    "final_rhs": int(system.rhs[-1])},
         "certificates": certificates,
-        "agreement": all(cert["infeasible"] for cert in certificates.values()),
+        "agreement": _agreement("agreement", all(cert["infeasible"] for cert in certificates.values())),
         "genuineness": {"n_partite": gen.n_partite, "d_level": gen.d_level},
         "mermin_table": table.render(),
     }
@@ -151,7 +156,7 @@ def cmd_bell(args) -> int:
         "quantum_value": quantum.quantum_value,
         "ratio": quantum.quantum_value / bound,
         "oracle_value": quantum.oracle_value,
-        "oracle_agreement": _skipped(quantum.oracle_agreement),
+        "oracle_agreement": _agreement("oracle_agreement", quantum.oracle_agreement),
         "notes": quantum.notes,
     }
     _emit(doc, args.format)
@@ -160,7 +165,7 @@ def cmd_bell(args) -> int:
 
 def cmd_ks(args) -> int:
     g = graphs.load_graph(args.graph)
-    classical = bounds.ks_classical_max(g, cap=args.cap, tolerance=args.tolerance)
+    classical = bounds.ks_classical_max(g, cap=args.cap)
     quantum = bounds.ks_quantum(g, dense_cap=args.dense_cap)
     doc = {
         "kind": "ks",
@@ -170,8 +175,8 @@ def cmd_ks(args) -> int:
         "margin": quantum.quantum_value - classical.classical_bound,
         "witness": classical.witness,
         "direct_max": classical.oracle_value,
-        "direct_agreement": _skipped(classical.oracle_agreement),
-        "quantum_oracle_agreement": _skipped(quantum.oracle_agreement),
+        "direct_agreement": _agreement("direct_agreement", classical.oracle_agreement),
+        "quantum_oracle_agreement": _agreement("quantum_oracle_agreement", quantum.oracle_agreement),
     }
     _emit(doc, args.format)
     return EXIT_OK
@@ -180,25 +185,20 @@ def cmd_ks(args) -> int:
 def cmd_lemma(args) -> int:
     closed = bounds.lattice_bound_closed(args.n, args.d)
     sweep = bounds.lattice_bound_sweep(args.n, args.d)
-    try:
+    brute = bounds.BoundReport(kind="lattice_brute")  # over cap: no maximum, witness or check
+    with contextlib.suppress(CapExceededError):
         brute = bounds.lattice_bound_brute(args.n, args.d, cap=args.cap)
-        brute_max = brute.classical_bound
-        witness = brute.witness
-        agreement = (abs(brute_max - closed) <= args.tolerance
-                     and abs(sweep.max_value - closed) <= args.tolerance)
-    except CapExceededError:
-        brute_max = None
-        witness = None
-        agreement = "skipped"
+    # a sweep off the closed form fails the command even when the scan is skipped
+    agreement = abs(sweep.max_value - closed) <= TOLERANCE and brute.oracle_agreement
     doc = {
         "kind": "lemma",
         "n": args.n,
         "d": args.d,
         "closed_form": closed,
         "sweep_max": sweep.max_value,
-        "brute_max": brute_max,
-        "witness": witness,
-        "agreement": agreement,
+        "brute_max": brute.classical_bound,
+        "witness": brute.witness,
+        "agreement": _agreement("agreement", agreement),
     }
     _emit(doc, args.format)
     return EXIT_OK
@@ -213,50 +213,50 @@ def cmd_state_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=SEARCH_CAP,
-                        help="brute-force search cap (assignments / lattice points)")
-    common.add_argument("--dense-cap", type=int, default=DENSE_CAP,
-                        help="largest d^n at which the quantum oracles run")
-    common.add_argument("--tolerance", type=float, default=TOLERANCE,
-                        help="tolerance for the real-valued comparisons of ks and lemma")
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output rendering")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=SEARCH_CAP,
+                     help="brute-force search cap (assignments / lattice points)")
+    dense_cap = argparse.ArgumentParser(add_help=False)
+    dense_cap.add_argument("--dense-cap", type=int, default=DENSE_CAP,
+                           help="largest d^n at which the quantum oracles run")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json",
+                     help="output rendering")
 
     parser = argparse.ArgumentParser(
         prog="ghzgraphs",
         description="Classify GHZ graphs and verify their paradoxes, Bell bounds, and contextuality bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="classify a graph file")
+    p = sub.add_parser("check", parents=[fmt], help="classify a graph file")
     p.add_argument("graph", help="graph JSON file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate connected GHZ graphs")
+    p = sub.add_parser("enumerate", parents=[cap, fmt], help="enumerate connected GHZ graphs")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--dedup", action="store_true", help="one representative per isomorphism class")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("paradox", parents=[common], help="certify the value-assignment paradox")
+    p = sub.add_parser("paradox", parents=[cap, fmt], help="certify the value-assignment paradox")
     p.add_argument("graph")
     p.add_argument("--method", choices=("algebraic", "exhaustive", "both"), default="both")
     p.set_defaults(func=cmd_paradox)
 
-    p = sub.add_parser("bell", parents=[common], help="Bell bound and graph-state value")
+    p = sub.add_parser("bell", parents=[cap, dense_cap, fmt], help="Bell bound and graph-state value")
     p.add_argument("graph")
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("ks", parents=[common], help="noncontextuality bound and quantum value")
+    p = sub.add_parser("ks", parents=[cap, dense_cap, fmt], help="noncontextuality bound and quantum value")
     p.add_argument("graph")
     p.set_defaults(func=cmd_ks)
 
-    p = sub.add_parser("lemma", parents=[common], help="lattice cosine bound: closed form vs sweep vs scan")
+    p = sub.add_parser("lemma", parents=[cap, fmt], help="lattice cosine bound: closed form vs sweep vs scan")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.set_defaults(func=cmd_lemma)
 
-    p = sub.add_parser("state-verify", parents=[common], help="stabilizer relations of the graph state")
+    p = sub.add_parser("state-verify", parents=[fmt], help="stabilizer relations of the graph state")
     p.add_argument("graph")
     p.set_defaults(func=cmd_state_verify)
     return parser
@@ -265,10 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if min(args.cap, args.dense_cap) <= 0:
+        if any(vars(args).get(name, 1) <= 0 for name in ("cap", "dense_cap")):
             raise ValueError("caps must be positive")
-        if not 0 < args.tolerance < 1e-3:
-            raise ValueError(f"tolerance must lie in (0, 1e-3), got {args.tolerance}")
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,6 +153,10 @@ def to_matrix(w: PauliWord) -> np.ndarray:
     return mat
 
 
+def _axis_range(d: int, n: int, v: int) -> np.ndarray:
+    return np.arange(d, dtype=np.int64).reshape((1,) * v + (d,) + (1,) * (n - v - 1))
+
+
 def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     """Exact monomial action w|s> = omega^{phase[s]} |index[s]> over the basis.
 
@@ -173,7 +177,7 @@ def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     phase = np.full(shape, w.phase_exp, dtype=np.int64)
     for v, z in enumerate(w.z_exp):
         if z:
-            phase = phase + int(z) * np.arange(w.d).reshape((1,) * v + (w.d,) + (1,) * (w.n - v - 1))
+            phase = phase + int(z) * _axis_range(w.d, w.n, v)
     return index.reshape(-1), phase.reshape(-1) % w.d
 
 

@@ -16,7 +16,7 @@ from ._search import counter_digits
 from .defaults import DENSE_CAP, STATE_CAP
 from .errors import CapExceededError
 from .graphs import WeightedGraph, classify_ghz
-from .pauli import PauliWord, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
+from .pauli import PauliWord, _axis_range, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
 
 
 class PhaseState:
@@ -36,10 +36,6 @@ class PhaseState:
         e.setflags(write=False)
         self.exponents = e
 
-    def grid(self) -> np.ndarray:
-        """Exponent table reshaped to one axis per qudit."""
-        return self.exponents.reshape((self.d,) * self.n)
-
     def dump(self) -> list[tuple[tuple[int, ...], int]]:
         """(basis tuple, exponent) pairs in enumeration order, for diffing."""
         digits = counter_digits(np.arange(self.exponents.size), self.n, self.d)
@@ -56,10 +52,6 @@ class PhaseState:
 
     def __repr__(self) -> str:
         return f"PhaseState(d={self.d}, n={self.n})"
-
-
-def _axis_range(d: int, n: int, v: int) -> np.ndarray:
-    return np.arange(d, dtype=np.int64).reshape((1,) * v + (d,) + (1,) * (n - v - 1))
 
 
 def build_state(g: WeightedGraph) -> PhaseState:

@@ -208,7 +208,7 @@ def test_criterion_6_property_suites():
                 tuple(int(x) for x in rng.integers(0, g.d, size=g.n)),
             )
             try:
-                bell_classical_value(g, asg, tolerance=TOL)
+                bell_classical_value(g, asg)
             except RuntimeError:
                 ok = False
                 break

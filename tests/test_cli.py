@@ -1,15 +1,17 @@
 """Subcommand behavior: exit codes, JSON shape, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ghzgraphs import bounds, cli
+from ghzgraphs import bounds, cli, paradox
 from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
 from ghzgraphs.pauli import PauliWord
 
@@ -239,13 +241,24 @@ class TestDeterminism:
             second = run_cli(*argv)
             assert first.stdout.encode() == second.stdout.encode()
 
-    def test_bad_tolerance_rejected(self, triangle_file):
-        proc = run_cli("bell", triangle_file, "--tolerance", "0.5")
+    @pytest.mark.parametrize("argv", [
+        ("check", "GRAPH", "--cap", "1000"),
+        ("state-verify", "GRAPH", "--dense-cap", "16"),
+        ("paradox", "GRAPH", "--dense-cap", "16"),
+        ("enumerate", "3", "4", "--dense-cap", "16"),
+        ("lemma", "3", "8", "--dense-cap", "16"),
+        ("bell", "GRAPH", "--tolerance", "1e-9"),
+        ("ks", "GRAPH", "--tolerance", "1e-9"),
+        ("lemma", "3", "8", "--tolerance", "1e-9"),
+    ], ids=" ".join)
+    def test_unread_flag_rejected(self, triangle_file, argv):
+        proc = run_cli(*(triangle_file if a == "GRAPH" else a for a in argv))
         assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
 
     @pytest.mark.parametrize("flag, value", [("--cap", "0"), ("--dense-cap", "-1")])
     def test_non_positive_cap_rejected(self, triangle_file, flag, value):
-        proc = run_cli("check", triangle_file, flag, value)
+        proc = run_cli("bell", triangle_file, flag, value)
         assert proc.returncode == 2
         assert proc.stderr == "error: caps must be positive\n"
 
@@ -265,6 +278,31 @@ class TestInvariantFailure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Bell scan maximum 3.0 differs from the closed form 2.0\n"
+
+    @pytest.mark.parametrize("argv, module, name, wrong, field", [
+        (("bell", "GRAPH"), bounds, "eigenvalue_of",
+         lambda real: lambda w, psi: 0, "oracle_agreement"),
+        (("ks", "GRAPH"), bounds, "_ks_direct_max",
+         lambda real: lambda g: (2.0, None), "direct_agreement"),
+        (("ks", "GRAPH"), bounds, "product_action",
+         lambda real: lambda words: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)),
+         "quantum_oracle_agreement"),
+        (("lemma", "3", "8"), bounds, "lattice_bound_sweep",
+         lambda real: lambda n, d: dataclasses.replace(real(n, d), max_value=0.0), "agreement"),
+        (("lemma", "6", "12", "--cap", "1000"), bounds, "lattice_bound_sweep",
+         lambda real: lambda n, d: dataclasses.replace(real(n, d), max_value=0.0), "agreement"),
+        (("lemma", "3", "8"), bounds, "lattice_bound_closed",
+         lambda real: lambda n, d: real(n, d) + 1e-6, "agreement"),
+        (("paradox", "GRAPH"), paradox, "check_infeasible_exhaustive",
+         lambda real: lambda system, cap: dataclasses.replace(real(system, cap), infeasible=False), "agreement"),
+    ], ids=["bell", "ks direct", "ks quantum", "lemma sweep", "lemma sweep scan skipped",
+            "lemma closed form", "paradox"])
+    def test_disagreeing_oracle_exits_four(self, triangle_file, monkeypatch, capsys, argv, module, name, wrong, field):
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        assert cli.main([triangle_file if a == "GRAPH" else a for a in argv]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} is false")
 
 
 PINNED_GRAPHS = {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghzgraphs._search import scan_max  # noqa: E402
@@ -18,11 +18,25 @@ from ghzgraphs.graphs import (  # noqa: E402
     classify_ghz,
     complete_4j3,
     enumerate_ghz_graphs,
+    find_ghz_subgraphs,
     k4,
     odd_loop,
     triangle,
 )
-from ghzgraphs.pauli import PauliWord, power, product_action, to_matrix, vertex_stabilizer, word_action  # noqa: E402
+from ghzgraphs.paradox import (  # noqa: E402
+    check_infeasible_algebraic,
+    check_infeasible_exhaustive,
+    subgraph_paradox,
+)
+from ghzgraphs.pauli import (  # noqa: E402
+    PauliWord,
+    power,
+    product_action,
+    stabilizer_product,
+    to_matrix,
+    vertex_stabilizer,
+    word_action,
+)
 from ghzgraphs.states import build_state, to_dense  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -142,6 +156,50 @@ def test_word_actions_match_dense_matrices(words):
     assert np.array_equal(monomial_matrix(*word_action(first), first.d), to_matrix(first))
     product = reduce(np.matmul, [to_matrix(w) for w in words])
     assert np.abs(monomial_matrix(*product_action(words), first.d) - product).max() <= 1e-12
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_stabilizer_product_is_the_closed_form_word(g):
+    assume(g.d**g.n <= 4096)
+    rep = classify_ghz(g)
+    product = stabilizer_product(g, range(g.n))
+    assert product == PauliWord(g.d, np.ones(g.n, dtype=np.int64), rep.degrees, rep.total_weight)
+    index, phase = word_action(product)
+    stab_index, stab_phase = product_action([vertex_stabilizer(g, v) for v in range(g.n)])
+    assert np.array_equal(index, stab_index) and np.array_equal(phase, stab_phase)
+
+
+@st.composite
+def planted_ghz_graphs(draw):
+    """A pool graph planted as an induced subgraph among one or two extra
+    vertices, small enough (d^(2n) <= 4^10) for the exhaustive paradox scan."""
+    g = draw(relabelled_ghz_graphs())
+    extra = [k for k in (1, 2) if g.d ** (2 * (g.n + k)) <= 4**10]
+    assume(extra)
+    n = g.n + draw(st.sampled_from(extra))
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[:g.n, :g.n] = g.adj
+    for u in range(n):
+        for v in range(max(u + 1, g.n), n):
+            adj[u, v] = adj[v, u] = draw(st.integers(0, g.d - 1))
+    perm = draw(st.permutations(range(n)))
+    planted = tuple(sorted(perm.index(v) for v in range(g.n)))
+    return relabel(WeightedGraph(g.d, adj), perm), planted
+
+
+@settings(PROPERTY, max_examples=10)
+@given(planted_ghz_graphs())
+def test_subgraph_paradoxes_are_infeasible_both_ways(case):
+    g, planted = case
+    found = find_ghz_subgraphs(g)
+    assert planted in found
+    for vs in found:
+        system = subgraph_paradox(g, vs)
+        algebraic = check_infeasible_algebraic(system, g)
+        exhaustive = check_infeasible_exhaustive(system)
+        assert algebraic.infeasible and exhaustive.infeasible
+        assert algebraic.max_satisfied_rows == exhaustive.max_satisfied_rows
 
 
 @PROPERTY
