@@ -46,7 +46,7 @@ print("\noperator table (stated values are forced by the state):")
 print(mermin_table(g).render())
 
 system = constraint_system(g)
-algebraic = check_infeasible_algebraic(system, g)
+algebraic = check_infeasible_algebraic(system)
 exhaustive = check_infeasible_exhaustive(system)
 print(f"\nvalue-assignment system: {system.num_rows} rows over {system.num_vars} variables")
 print(f"algebraic certificate: row sum gives {algebraic.contradiction[0]} = "

@@ -34,7 +34,6 @@ from .graphs import (
     is_connected,
     k4,
     load_graph,
-    make_family,
     odd_loop,
     save_graph,
     subgraph,

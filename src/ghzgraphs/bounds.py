@@ -124,7 +124,7 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     )
 
 
-def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
+def bell_quantum(g: WeightedGraph) -> BoundReport:
     """Graph-state value n + 1 and local-realistic bound n - 1 of the Bell
     operator with shift/phase settings.
 
@@ -138,7 +138,7 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
     neither: n - 1.  Otherwise z - t <= n - 2: at most n - 1.  a = b = 0
     attains n - 1.
 
-    Within the dense cap an exact oracle checks the value without the word
+    When d^n <= DENSE_CAP an exact oracle checks the value without the word
     identity.  Expectation: the eigen-exponent of every odd power of every
     stabilizer and of X_V on the exact state, each worth delta(e) = [e = 0] -
     [e = d/2], summed as integers.  Hermiticity: w^d = I for every term word w,
@@ -162,7 +162,7 @@ def bell_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
     oracle_value = None
     agreement = None
     notes = {}
-    if d**n <= dense_cap:
+    if d**n <= DENSE_CAP:
         psi = build_state(g)
         delta = _flip_delta(d)
         t = np.arange(d)
@@ -226,11 +226,11 @@ def lattice_bound_closed(n: int, d: int) -> float:
     value = (n + 1) * ((lam - lo) * math.cos(hi * theta) + (1 + lo - lam) * math.cos(lo * theta))
     if n >= d // 2:
         plateau = n + 1 - d * math.sin(math.pi / d) ** 2
-        if abs(plateau - value) > 1e-9:
+        if abs(plateau - value) > TOLERANCE:
             raise InvariantError(f"plateau reduction {plateau} disagrees with the general form {value}")
     if d % (2 * (n + 1)) == 0:
         aligned = (n + 1) * math.cos(math.pi / (n + 1))
-        if abs(aligned - value) > 1e-9:
+        if abs(aligned - value) > TOLERANCE:
             raise InvariantError(f"aligned-lattice reduction {aligned} disagrees with the general form {value}")
     return value
 
@@ -356,13 +356,13 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     )
 
 
-def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
+def ks_quantum(g: WeightedGraph) -> BoundReport:
     """State-independent quantum value of the contextuality expression.
 
     Each of the n+2 operator rows reduces symbolically to a pure phase: the
     shift row and every stabilizer row to the identity, the product row to
     the flip -1 (entering negated).  Each hermitized row then contributes
-    exactly +1 on any state, so the value is n+2.  Within the dense cap each
+    exactly +1 on any state, so the value is n+2.  When d^n <= DENSE_CAP each
     row's factors are composed again as exact monomial actions on the basis,
     without ``multiply``, and the product must be the identity permutation
     carrying the expected phase on every basis state.
@@ -393,7 +393,7 @@ def ks_quantum(g: WeightedGraph, dense_cap: int = DENSE_CAP) -> BoundReport:
     oracle_value = None
     agreement = None
     dim = d**n
-    if dim <= dense_cap:
+    if dim <= DENSE_CAP:
         delta = _flip_delta(d)
         total, exact = 0, True
         for name, factors, expected_phase in rows:

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import bounds, graphs, paradox, states
-from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
+from .defaults import SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError, NotGhzGraphError
 
 EXIT_OK = 0
@@ -119,17 +119,19 @@ def cmd_paradox(args) -> int:
     system = paradox.constraint_system(g)
     table = paradox.mermin_table(g)
     gen = paradox.genuineness(g)
-    certificates = {}
-    if args.method in ("algebraic", "both"):
-        certificates["algebraic"] = dataclasses.asdict(paradox.check_infeasible_algebraic(system, g))
-    if args.method in ("exhaustive", "both"):
-        certificates["exhaustive"] = dataclasses.asdict(paradox.check_infeasible_exhaustive(system, cap=args.cap))
+    certificates = {"algebraic": dataclasses.asdict(paradox.check_infeasible_algebraic(system)),
+                    "exhaustive": "skipped"}
+    agreement = None  # over cap the scan does not run; the algebraic proof holds at any size
+    with contextlib.suppress(CapExceededError):
+        exhaustive = paradox.check_infeasible_exhaustive(system, cap=args.cap)
+        certificates["exhaustive"] = dataclasses.asdict(exhaustive)
+        agreement = exhaustive.infeasible
     doc = {
         "graph": graphs.graph_to_dict(g),
         "system": {"rows": system.num_rows, "variables": system.num_vars,
                    "final_rhs": int(system.rhs[-1])},
         "certificates": certificates,
-        "agreement": _agreement("agreement", all(cert["infeasible"] for cert in certificates.values())),
+        "agreement": _agreement("agreement", agreement),
         "genuineness": {"n_partite": gen.n_partite, "d_level": gen.d_level},
         "mermin_table": table.render(),
     }
@@ -139,7 +141,7 @@ def cmd_paradox(args) -> int:
 
 def cmd_bell(args) -> int:
     g = graphs.load_graph(args.graph)
-    quantum = bounds.bell_quantum(g, dense_cap=args.dense_cap)
+    quantum = bounds.bell_quantum(g)
     bound = quantum.classical_bound  # closed form; the scan only confirms it, within cap
     witness, searched = None, "skipped"
     with contextlib.suppress(CapExceededError):
@@ -166,7 +168,7 @@ def cmd_bell(args) -> int:
 def cmd_ks(args) -> int:
     g = graphs.load_graph(args.graph)
     classical = bounds.ks_classical_max(g, cap=args.cap)
-    quantum = bounds.ks_quantum(g, dense_cap=args.dense_cap)
+    quantum = bounds.ks_quantum(g)
     doc = {
         "kind": "ks",
         "graph": graphs.graph_to_dict(g),
@@ -216,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--cap", type=int, default=SEARCH_CAP,
                      help="brute-force search cap (assignments / lattice points)")
-    dense_cap = argparse.ArgumentParser(add_help=False)
-    dense_cap.add_argument("--dense-cap", type=int, default=DENSE_CAP,
-                           help="largest d^n at which the quantum oracles run")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json",
                      help="output rendering")
@@ -240,14 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paradox", parents=[cap, fmt], help="certify the value-assignment paradox")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("algebraic", "exhaustive", "both"), default="both")
     p.set_defaults(func=cmd_paradox)
 
-    p = sub.add_parser("bell", parents=[cap, dense_cap, fmt], help="Bell bound and graph-state value")
+    p = sub.add_parser("bell", parents=[cap, fmt], help="Bell bound and graph-state value")
     p.add_argument("graph")
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("ks", parents=[cap, dense_cap, fmt], help="noncontextuality bound and quantum value")
+    p = sub.add_parser("ks", parents=[cap, fmt], help="noncontextuality bound and quantum value")
     p.add_argument("graph")
     p.set_defaults(func=cmd_ks)
 
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if any(vars(args).get(name, 1) <= 0 for name in ("cap", "dense_cap")):
+        if vars(args).get("cap", 1) <= 0:
             raise ValueError("caps must be positive")
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

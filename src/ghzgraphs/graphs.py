@@ -402,20 +402,3 @@ def complete_4j3(j: int) -> WeightedGraph:
     n = 4 * j + 3
     adj = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return WeightedGraph(2, adj)
-
-
-_FAMILIES = {
-    "triangle": triangle,
-    "k4": k4,
-    "odd_loop": odd_loop,
-    "complete_4j3": complete_4j3,
-}
-
-
-def make_family(name: str, **params) -> WeightedGraph:
-    """Build a named family member; every output passes the GHZ test."""
-    try:
-        ctor = _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}") from None
-    return ctor(**params)

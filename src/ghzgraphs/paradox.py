@@ -117,7 +117,7 @@ def subgraph_paradox(g: WeightedGraph, vertices) -> ParadoxSystem:
     return _paradox_rows(g, vs)
 
 
-def check_infeasible_algebraic(system: ParadoxSystem, g: WeightedGraph | None = None) -> InfeasibilityCertificate:
+def check_infeasible_algebraic(system: ParadoxSystem) -> InfeasibilityCertificate:
     """Certify infeasibility by summing the stabilizer rows.
 
     Their Z_d-sum reproduces the final row's coefficients (the degree sums
@@ -125,8 +125,6 @@ def check_infeasible_algebraic(system: ParadoxSystem, g: WeightedGraph | None = 
     max_satisfied_rows = rows - 1 is exact: the all-zero assignment satisfies
     every stabilizer row, and no assignment satisfies all rows.
     """
-    if g is not None and (g.d != system.d or g.n != system.n):
-        raise ValueError("graph does not match the system dimensions")
     d = system.d
     summed = system.coeffs[:-1].sum(axis=0) % d
     if not np.array_equal(summed, system.coeffs[-1]):
@@ -149,7 +147,10 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
     """Scan every assignment in base-d counter order over (a_1.., b_1..).
 
     Infeasible systems report the maximal number of simultaneously satisfied
-    rows; feasible ones (control experiments) report the first witness.
+    rows; feasible ones (control experiments) report the first witness.  A
+    variable that occurs in no row changes no row, so only the others are
+    scanned and the witness puts 0 at the free positions, as the lowest
+    counter value does; ``searched`` still counts all d^(2n) assignments.
     """
     d = system.d
     nv = system.num_vars
@@ -158,13 +159,16 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
         raise CapExceededError(f"exhaustive check needs {space} = {d}^{nv} assignments, cap is {cap}")
     target = system.num_rows
     tables = (np.arange(d) == system.rhs[:, None]).astype(np.int64)
-    best, witness = scan_max(system.coeffs, tables, d)
+    used = system.coeffs.any(axis=0)
+    best, reduced = scan_max(system.coeffs if used.all() else system.coeffs[:, used], tables, d)
+    witness = np.zeros(nv, dtype=np.int64)
+    witness[used] = reduced
     return InfeasibilityCertificate(
         method="exhaustive",
         infeasible=best < target,
         searched=space,
         max_satisfied_rows=best,
-        satisfying_witness=witness if best == target else None,
+        satisfying_witness=tuple(int(x) for x in witness) if best == target else None,
     )
 
 

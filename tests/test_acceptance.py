@@ -72,7 +72,7 @@ def test_criterion_1_triangle_end_to_end():
     crit.check("verify_stabilizers", ver.all_pass and ver.flip_exponent == 1)
 
     system = constraint_system(g)
-    alg = check_infeasible_algebraic(system, g)
+    alg = check_infeasible_algebraic(system)
     exh = check_infeasible_exhaustive(system)
     crit.check("paradox_both_methods", alg.infeasible and exh.infeasible and exh.searched == 64)
 
@@ -273,7 +273,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         ("enumerate", "3", "4"),
         ("enumerate", "4", "4", "--dedup"),
         ("paradox", str(tri)),
-        ("paradox", str(k4file), "--method", "both"),
+        ("paradox", str(k4file)),
         ("bell", str(tri)),
         ("bell", str(k4file)),
         ("ks", str(tri)),

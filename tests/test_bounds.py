@@ -122,8 +122,8 @@ class TestBellQuantum:
         assert report.quantum_value / report.classical_bound == pytest.approx(5 / 3, abs=1e-9)
 
     def test_dense_skipped_over_cap(self):
-        report = bell_quantum(k4(4, 1, 1, 0), dense_cap=16)
-        assert abs(report.quantum_value - 5.0) <= 1e-9
+        report = bell_quantum(odd_loop(13))  # 2^13 > DENSE_CAP
+        assert report.quantum_value == 14.0
         assert report.oracle_agreement is None
 
     def test_non_ghz_rejected(self):
@@ -273,8 +273,8 @@ class TestKsBounds:
         assert all(report.notes["word_checks"].values())
 
     def test_quantum_dense_skipped_over_cap(self):
-        report = ks_quantum(k4(6, 1, 1, 1), dense_cap=16)
-        assert report.quantum_value == 6.0
+        report = ks_quantum(odd_loop(13))  # 2^13 > DENSE_CAP
+        assert report.quantum_value == 15.0
         assert report.oracle_agreement is None
 
     def test_non_ghz_rejected(self):

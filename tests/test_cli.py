@@ -133,15 +133,22 @@ class TestParadox:
         assert doc["genuineness"] == {"n_partite": True, "d_level": "full"}
 
     def test_methods_agree(self, triangle_file):
-        proc = run_cli("paradox", triangle_file, "--method", "both")
+        proc = run_cli("paradox", triangle_file)
         doc = json.loads(proc.stdout)
         assert set(doc["certificates"]) == {"algebraic", "exhaustive"}
         assert doc["agreement"] is True
 
-    def test_single_method(self, triangle_file):
-        proc = run_cli("paradox", triangle_file, "--method", "algebraic")
+    def test_algebraic_proof_beyond_cap(self, tmp_path):
+        # the exhaustive scan would need 2^30 assignments; the row-sum proof holds at any n
+        path = tmp_path / "loop15.json"
+        save_graph(odd_loop(15), path)
+        proc = run_cli("paradox", str(path))
+        assert proc.returncode == 0
         doc = json.loads(proc.stdout)
-        assert set(doc["certificates"]) == {"algebraic"}
+        assert doc["certificates"]["algebraic"]["infeasible"] is True
+        assert doc["certificates"]["algebraic"]["contradiction"] == [0, 1]
+        assert doc["certificates"]["exhaustive"] == "skipped"
+        assert doc["agreement"] == "skipped"
 
     def test_non_ghz_exits_one(self, path_file):
         proc = run_cli("paradox", path_file)
@@ -245,6 +252,9 @@ class TestDeterminism:
         ("check", "GRAPH", "--cap", "1000"),
         ("state-verify", "GRAPH", "--dense-cap", "16"),
         ("paradox", "GRAPH", "--dense-cap", "16"),
+        ("paradox", "GRAPH", "--method", "both"),
+        ("bell", "GRAPH", "--dense-cap", "16"),
+        ("ks", "GRAPH", "--dense-cap", "16"),
         ("enumerate", "3", "4", "--dense-cap", "16"),
         ("lemma", "3", "8", "--dense-cap", "16"),
         ("bell", "GRAPH", "--tolerance", "1e-9"),
@@ -256,7 +266,7 @@ class TestDeterminism:
         assert proc.returncode == 2
         assert "unrecognized arguments" in proc.stderr
 
-    @pytest.mark.parametrize("flag, value", [("--cap", "0"), ("--dense-cap", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--cap", "0")])
     def test_non_positive_cap_rejected(self, triangle_file, flag, value):
         proc = run_cli("bell", triangle_file, flag, value)
         assert proc.returncode == 2
@@ -318,6 +328,7 @@ def pinned_cases():
             # the direct KS scan on k4 at d=4 covers 4^13 values; run it over cap
             over_cap = ("--cap", "1000") if (command, name) == ("ks", "k4_d4") else ()
             yield (command, name, *over_cap)
+    yield ("paradox", "k4_d4", "--cap", "1000")
     yield ("enumerate", "4", "4")
     yield ("enumerate", "4", "4", "--dedup")
     yield ("lemma", "3", "8")
@@ -335,7 +346,8 @@ def run_pinned(argv, fmt, graph_dir):
 
 # recorded by running run_pinned on the code before the CLI's RunConfig layer was removed;
 # state-verify re-recorded from that output with its ghz_expectation line removed, and
-# bell re-recorded with its notes once the Bell oracle became exact
+# bell re-recorded with its notes once the Bell oracle became exact; paradox over cap
+# recorded once it printed the algebraic certificate with the scan skipped
 PINNED = {
     "check triangle json": (0, "0466540dd3bbfd11"),
     "check triangle text": (0, "5124a60f1e598d05"),
@@ -367,6 +379,8 @@ PINNED = {
     "ks path text": (1, "e3b0c44298fc1c14"),
     "state-verify path json": (0, "09c91afe5ac87f02"),
     "state-verify path text": (0, "86b89f9014517ee9"),
+    "paradox k4_d4 --cap 1000 json": (0, "a16b771c7d75692b"),
+    "paradox k4_d4 --cap 1000 text": (0, "a222b94a95d38814"),
     "enumerate 4 4 json": (0, "05edab0b24018ad8"),
     "enumerate 4 4 text": (0, "4619c401d982620b"),
     "enumerate 4 4 --dedup json": (0, "3965bc13cd4fb3c4"),

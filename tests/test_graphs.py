@@ -20,7 +20,6 @@ from ghzgraphs.graphs import (
     is_connected,
     k4,
     load_graph,
-    make_family,
     odd_loop,
     save_graph,
     subgraph,
@@ -320,14 +319,8 @@ class TestFamilies:
             assert classify_ghz(complete_4j3(j)).is_ghz
 
     def test_all_families_are_ghz(self):
-        cases = [
-            ("triangle", {"d": 8}),
-            ("k4", {"d": 8, "a": 2, "b": 1, "c": 1}),
-            ("odd_loop", {"n": 7}),
-            ("complete_4j3", {"j": 1}),
-        ]
-        for name, params in cases:
-            assert classify_ghz(make_family(name, **params)).is_ghz
+        for g in [triangle(8), k4(8, 2, 1, 1), odd_loop(7), complete_4j3(1)]:
+            assert classify_ghz(g).is_ghz
 
     def test_family_errors(self):
         with pytest.raises(ValueError):
@@ -338,8 +331,6 @@ class TestFamilies:
             odd_loop(4)
         with pytest.raises(ValueError):
             triangle(3)
-        with pytest.raises(ValueError):
-            make_family("pentagon")
 
 
 class TestFileFormat:

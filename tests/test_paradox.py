@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from ghzgraphs import _search, paradox
 from ghzgraphs.errors import CapExceededError, NotGhzGraphError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.paradox import (
+    InfeasibilityCertificate,
+    ParadoxSystem,
     check_infeasible_algebraic,
     check_infeasible_exhaustive,
     constraint_system,
@@ -58,7 +61,7 @@ class TestConstraintSystem:
 
 class TestAlgebraicCertificate:
     def test_triangle_contradiction(self):
-        cert = check_infeasible_algebraic(constraint_system(triangle(2)), triangle(2))
+        cert = check_infeasible_algebraic(constraint_system(triangle(2)))
         assert cert.infeasible
         assert cert.contradiction == (0, 1)
         assert cert.witness_combination == (0, 1, 2)
@@ -112,7 +115,7 @@ class TestExhaustiveCertificate:
         for n, d in [(3, 2), (3, 4), (4, 2), (4, 4)]:
             for g in enumerate_ghz_graphs(n, d):
                 system = constraint_system(g)
-                alg = check_infeasible_algebraic(system, g)
+                alg = check_infeasible_algebraic(system)
                 exh = check_infeasible_exhaustive(system)
                 assert alg.infeasible and exh.infeasible
                 assert exh.max_satisfied_rows == n == alg.max_satisfied_rows
@@ -222,3 +225,28 @@ class TestSubgraphParadox:
         g = WeightedGraph(2, g7)
         system = subgraph_paradox(g, range(5))
         assert check_infeasible_exhaustive(system, cap=2**14).infeasible
+
+    def test_scan_skips_free_columns(self, monkeypatch):
+        # a 7-loop on 0..6 with the tail 0-7-8: a_7, a_8 and b_8 occur in no row
+        # of the loop's system, which the scan drops from its 18 columns
+        adj = np.zeros((9, 9), dtype=int)
+        for u, v in [(v, (v + 1) % 7) for v in range(7)] + [(0, 7), (7, 8)]:
+            adj[u][v] = adj[v][u] = 1
+        system = subgraph_paradox(WeightedGraph(2, adj), range(7))
+        widths = []
+
+        def recording_scan(forms, tables, base):
+            widths.append(np.shape(forms)[1])
+            return _search.scan_max(forms, tables, base)
+
+        monkeypatch.setattr(paradox, "scan_max", recording_scan)
+        feasible = ParadoxSystem(2, 9, system.coeffs, [1] + [0] * 6 + [1])  # row sums agree
+        for case in (system, system.with_final_rhs(0), feasible):
+            tables = (np.arange(2) == case.rhs[:, None]).astype(np.int64)
+            best, witness = _search.scan_max(case.coeffs, tables, 2)
+            full = InfeasibilityCertificate(
+                method="exhaustive", infeasible=best < 8, searched=2**18, max_satisfied_rows=best,
+                satisfying_witness=witness if best == 8 else None)
+            assert check_infeasible_exhaustive(case) == full
+        assert widths == [15, 15, 15]
+        assert full.satisfying_witness is not None and any(full.satisfying_witness)

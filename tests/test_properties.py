@@ -105,7 +105,7 @@ def pair_loop_coprime_pair(weights, d, skip, strict):
 @given(relabelled_ghz_graphs())
 def test_bell_scan_maximum_is_the_closed_form(g):
     scan = bell_classical_max(g)
-    assert scan.classical_bound == g.n - 1 == bell_quantum(g, dense_cap=1).classical_bound
+    assert scan.classical_bound == g.n - 1 == bell_quantum(g).classical_bound
     assert scan.witness == {"a_exp": [0] * g.n, "b_exp": [0] * g.n}
 
 
@@ -196,7 +196,7 @@ def test_subgraph_paradoxes_are_infeasible_both_ways(case):
     assert planted in found
     for vs in found:
         system = subgraph_paradox(g, vs)
-        algebraic = check_infeasible_algebraic(system, g)
+        algebraic = check_infeasible_algebraic(system)
         exhaustive = check_infeasible_exhaustive(system)
         assert algebraic.infeasible and exhaustive.infeasible
         assert algebraic.max_satisfied_rows == exhaustive.max_satisfied_rows
