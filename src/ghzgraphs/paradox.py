@@ -160,7 +160,7 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
     target = system.num_rows
     tables = (np.arange(d) == system.rhs[:, None]).astype(np.int64)
     used = system.coeffs.any(axis=0)
-    best, reduced = scan_max(system.coeffs if used.all() else system.coeffs[:, used], tables, d)
+    best, reduced = scan_max(system.coeffs[:, used], tables, d)
     witness = np.zeros(nv, dtype=np.int64)
     witness[used] = reduced
     return InfeasibilityCertificate(
