@@ -4,7 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapExceededError
+
 CHUNK = 1 << 18
+
+
+def search_size(what: str, base: int, digits: int, cap: int) -> int:
+    """base**digits, or CapExceededError naming ``what`` when that exceeds ``cap``.
+
+    The message writes the size as base^digits, never in full, so it stays
+    short at any size.  base**digits >= 2**(digits * (bit_length - 1)), so a
+    size that is surely over cap is refused without computing it.
+    """
+    base = int(base)
+    if digits * (base.bit_length() - 1) < cap.bit_length():
+        size = base**digits
+        if size <= cap:
+            return size
+    raise CapExceededError(f"{what} of size {base}^{digits} exceeds cap {cap}")
 
 
 def counter_digits(values, num_digits: int, base: int) -> np.ndarray:

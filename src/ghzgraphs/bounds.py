@@ -17,9 +17,9 @@ from typing import Any
 import numpy as np
 
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from ._search import scan_max
+from ._search import scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError
 from .graphs import WeightedGraph, require_ghz
 from .pauli import PauliWord, dagger, multiply, power, product_action, stabilizer_product, vertex_stabilizer
 from .pauli import to_matrix  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
@@ -108,9 +108,7 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     """
     _require_even(g.d, "Bell expression")
     d, n = g.d, g.n
-    space = d ** (2 * n)
-    if space > cap:
-        raise CapExceededError(f"Bell search needs {space} = {d}^{2 * n} assignments, cap is {cap}")
+    space = search_size("Bell search", d, 2 * n, cap)
     # rows over (a, b): the n site rows a_v + (adj b)_v, then the collective
     # row sum(a), whose table enters negated
     forms = np.vstack([np.hstack([np.eye(n, dtype=np.int64), g.adj]), np.repeat([1, 0], n)])
@@ -244,9 +242,7 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got (n={n}, d={d})")
-    space = d**n
-    if space > cap:
-        raise CapExceededError(f"lattice scan needs {space} = {d}^{n} points, cap is {cap}")
+    space = search_size("lattice scan", d, n, cap)
     theta = 2 * math.pi / d
     table = np.cos(theta * np.arange(d))
     forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])

@@ -3,8 +3,8 @@
 Output is deterministic: fixed field order, floats rounded to 12 significant
 digits, and no timing fields, so identical inputs produce byte-identical
 reports.  Exit codes: 0 success/true, 1 predicate false, 2 input error
-(including graph files with n > 4096), 3 resource cap exceeded, 4 internal
-self-check failed.
+(including graph files with n > 4096 or d >= 2^63), 3 resource cap
+exceeded, 4 internal self-check failed.
 """
 
 from __future__ import annotations

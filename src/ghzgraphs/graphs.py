@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import digit_chunks
+from ._search import digit_chunks, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, SUBSET_CAP
 from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
@@ -67,13 +67,8 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Nonzero edges as (u, v, w) with u < v, in ascending order."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                w = int(self.adj[u, v])
-                if w:
-                    out.append((u, v, w))
-        return out
+        us, vs = np.nonzero(np.triu(self.adj, 1))
+        return list(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -270,9 +265,7 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got (n={n}, d={d})")
     m = n * (n - 1) // 2
-    space = d**m
-    if space > cap:
-        raise CapExceededError(f"enumeration at (n={n}, d={d}) needs {space} = {d}^{m} assignments, cap is {cap}")
+    search_size(f"enumeration at (n={n}, d={d})", d, m, cap)
     if dedup_isomorphism and n > ISO_DEDUP_MAX_VERTICES:
         raise ValueError(f"isomorphism dedup limited to n <= {ISO_DEDUP_MAX_VERTICES}")
     pairs = list(itertools.combinations(range(n), 2))
@@ -315,6 +308,8 @@ def graph_from_dict(obj) -> WeightedGraph:
         if key not in obj:
             raise GraphFormatError(f"missing field {key!r}")
     d = _require_int(obj, "d", 2)
+    if d >= 2**63:  # d and every weight must fit the int64 adjacency
+        raise GraphFormatError(f"field 'd' must be below 2^63, got a {d.bit_length()}-bit integer")
     n = _require_int(obj, "n", 1)
     if n > DENSE_CAP:  # bounds the n x n adjacency matrix at 128 MiB
         raise GraphFormatError(f"field 'n' must be at most {DENSE_CAP}, got {n}")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from ._search import scan_max
+from ._search import scan_max, search_size
 from .defaults import SEARCH_CAP
-from .errors import CapExceededError, InvariantError, NotGhzGraphError
+from .errors import InvariantError, NotGhzGraphError
 from .graphs import WeightedGraph, _vertex_subset, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
 
@@ -154,9 +154,7 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
     """
     d = system.d
     nv = system.num_vars
-    space = d**nv
-    if space > cap:
-        raise CapExceededError(f"exhaustive check needs {space} = {d}^{nv} assignments, cap is {cap}")
+    space = search_size("exhaustive check", d, nv, cap)
     target = system.num_rows
     tables = (np.arange(d) == system.rhs[:, None]).astype(np.int64)
     used = system.coeffs.any(axis=0)

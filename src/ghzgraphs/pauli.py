@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._search import counter_digits
+from ._search import counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
-from .errors import CapExceededError
 from .graphs import WeightedGraph, _vertex_subset
 
 
@@ -142,9 +141,7 @@ def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
 
 def to_matrix(w: PauliWord) -> np.ndarray:
     """Dense complex matrix: column s carries omega^{p + z.s} at row s + x."""
-    dim = w.d**w.n
-    if dim > DENSE_CAP:
-        raise CapExceededError(f"dense matrix of size {dim} exceeds cap {DENSE_CAP}")
+    dim = search_size("dense matrix", w.d, w.n, DENSE_CAP)
     digits = counter_digits(np.arange(dim), w.n, w.d)
     rows = w.d ** np.arange(w.n - 1, -1, -1) @ ((digits + w.x_exp[:, None]) % w.d)
     phases = (w.phase_exp + w.z_exp @ digits) % w.d
@@ -166,9 +163,7 @@ def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     roll of the index grid and broadcast phases) so each checks the other.
     The two arrays hold d^n entries each, at most ``STATE_CAP``.
     """
-    dim = w.d**w.n
-    if dim > STATE_CAP:
-        raise CapExceededError(f"word action of size {dim} exceeds cap {STATE_CAP}")
+    dim = search_size("word action", w.d, w.n, STATE_CAP)
     shape = (w.d,) * w.n
     index = np.arange(dim).reshape(shape)
     if w.x_exp.any():

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import counter_digits
+from ._search import counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
-from .errors import CapExceededError
 from .graphs import WeightedGraph, classify_ghz
 from .pauli import PauliWord, _axis_range, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
 
@@ -56,9 +55,7 @@ class PhaseState:
 
 def build_state(g: WeightedGraph) -> PhaseState:
     """Graph state of g: exponent e(s) = sum_{u<v} adj[u][v] s_u s_v mod d."""
-    dim = g.d**g.n
-    if dim > STATE_CAP:
-        raise CapExceededError(f"state of size {dim} exceeds cap {STATE_CAP}")
+    search_size("state", g.d, g.n, STATE_CAP)
     e = np.zeros((g.d,) * g.n, dtype=np.int64)
     for u in range(g.n):
         su = _axis_range(g.d, g.n, u)
@@ -143,9 +140,7 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
 
 def to_dense(state: PhaseState) -> np.ndarray:
     """Unit-norm complex vector with entries omega^{e(s)} d^{-n/2}."""
-    dim = state.d**state.n
-    if dim > DENSE_CAP:
-        raise CapExceededError(f"dense vector of size {dim} exceeds cap {DENSE_CAP}")
+    search_size("dense vector", state.d, state.n, DENSE_CAP)
     return np.exp(2j * np.pi * state.exponents / state.d) / state.d ** (state.n / 2)
 
 
@@ -156,9 +151,7 @@ def joint_plus_one_dimension(g: WeightedGraph) -> int:
     each gives commuting projectors whose product projects onto the joint
     eigenspace; its trace is the dimension.
     """
-    dim = g.d**g.n
-    if dim > DENSE_CAP:
-        raise CapExceededError(f"dense projector of size {dim} exceeds cap {DENSE_CAP}")
+    dim = search_size("dense projector", g.d, g.n, DENSE_CAP)
     proj = np.eye(dim, dtype=complex)
     for v in range(g.n):
         word = vertex_stabilizer(g, v)

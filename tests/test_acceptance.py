@@ -6,8 +6,10 @@ identities use 1e-12.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -281,12 +283,15 @@ def test_criterion_7_cli_determinism(tmp_path):
         ("lemma", "6", "12"),
         ("state-verify", str(tri)),
     ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv in commands:
         runs = [
             subprocess.run([sys.executable, "-m", "ghzgraphs", *argv],
-                           capture_output=True, timeout=300)
+                           capture_output=True, env=env, timeout=300)
             for _ in range(2)
         ]
+        # every command succeeds: two runs failing alike would also be identical
         crit.check(" ".join(argv[:1]) + "_" + "_".join(a for a in argv[1:] if not a.startswith("/")),
-                   runs[0].stdout == runs[1].stdout and runs[0].returncode == runs[1].returncode)
+                   runs[0].stdout == runs[1].stdout and runs[0].returncode == runs[1].returncode == 0)
     crit.conclude()

@@ -204,6 +204,11 @@ class TestLatticeBounds:
         with pytest.raises(CapExceededError):
             lattice_bound_brute(10, 10, cap=100)
 
+    def test_brute_disagrees_with_a_slightly_wrong_closed_form(self, monkeypatch):
+        real = bounds.lattice_bound_closed
+        monkeypatch.setattr(bounds, "lattice_bound_closed", lambda n, d: real(n, d) + 1e-6)
+        assert lattice_bound_brute(3, 8).oracle_agreement is False
+
     def test_sweep_spot_values(self):
         sweep = lattice_bound_sweep(4, 4)
         assert sweep.max_value == pytest.approx(3.0, abs=1e-9)

@@ -5,21 +5,27 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghzgraphs import bounds, cli, paradox
+from ghzgraphs import bounds, cli, paradox, states
 from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
 from ghzgraphs.pauli import PauliWord
 
 
-def run_cli(*args):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, timeout=300):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "ghzgraphs", *args],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -88,6 +94,13 @@ class TestCheck:
         assert proc.returncode == 2
         assert "must be at most 4096" in proc.stderr
 
+    def test_modulus_beyond_int64_exits_two(self, tmp_path):
+        big = tmp_path / "big_d.json"
+        big.write_text(json.dumps({"d": 2**63, "n": 3, "edges": [[0, 1, 2**62]]}))
+        proc = run_cli("check", str(big))
+        assert proc.returncode == 2
+        assert "'d' must be below 2^63" in proc.stderr
+
     def test_text_format(self, triangle_file):
         proc = run_cli("check", triangle_file, "--format", "text")
         assert proc.returncode == 0
@@ -112,6 +125,17 @@ class TestEnumerate:
         proc = run_cli("enumerate", "8", "6", "--cap", "1000")
         assert proc.returncode == 3
         assert "cap" in proc.stderr
+
+    def test_size_past_the_int_string_limit_exits_three(self):
+        # 4^19900 has 11982 decimal digits; the message writes it as a power
+        proc = run_cli("enumerate", "200", "4")
+        assert proc.returncode == 3
+        assert proc.stderr == "error: enumeration at (n=200, d=4) of size 4^19900 exceeds cap 100000000\n"
+
+    def test_huge_size_is_refused_fast(self):
+        proc = run_cli("enumerate", "60000", "4", timeout=10)
+        assert proc.returncode == 3
+        assert "4^1799970000" in proc.stderr
 
     def test_dedup_deterministic(self):
         first = run_cli("enumerate", "5", "2", "--dedup")
@@ -188,6 +212,14 @@ class TestBounds:
         assert doc["brute_max"] is None
         assert doc["agreement"] == "skipped"
 
+    def test_lemma_brute_skipped_past_the_int_string_limit(self):
+        # the scan would cover 4^8000 points, a number of 4817 decimal digits
+        proc = run_cli("lemma", "8000", "4")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["brute_max"] is None
+        assert doc["agreement"] == "skipped"
+
     def test_ks_direct_skipped_over_cap(self, k4_d4_file):
         proc = run_cli("ks", k4_d4_file, "--cap", "1000")
         assert proc.returncode == 0
@@ -230,6 +262,14 @@ class TestStateVerify:
         doc = json.loads(proc.stdout)
         assert doc["is_ghz"] is False and "ghz_expectation" not in doc
         assert doc["flip_exponent"] == doc["flip_expected"]
+
+    def test_failed_relation_exits_one(self, triangle_file, monkeypatch, capsys):
+        # every word reads as a +1 eigenvector, so the flip relation (expected -1) fails
+        monkeypatch.setattr(states, "eigenvalue_of", lambda w, psi: 0)
+        assert cli.main(["state-verify", triangle_file]) == cli.EXIT_PREDICATE_FALSE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["vertex_check"] is True
+        assert doc["flip_check"] is False and doc["all_pass"] is False
 
 
 class TestDeterminism:
@@ -292,8 +332,17 @@ class TestInvariantFailure:
     @pytest.mark.parametrize("argv, module, name, wrong, field", [
         (("bell", "GRAPH"), bounds, "eigenvalue_of",
          lambda real: lambda w, psi: 0, "oracle_agreement"),
+        # the spectral maximum must be first reached at s = 0
+        (("bell", "GRAPH"), bounds, "scan_max",
+         lambda real: lambda forms, tables, base: (lambda best, at: (best, (1, *at[1:])))(
+             *real(forms, tables, base)), "oracle_agreement"),
+        # w^d = I fails for every odd-power term word
+        (("bell", "GRAPH"), bounds, "power",
+         lambda real: lambda w, k: real(w, 1 if k == w.d else k), "oracle_agreement"),
         (("ks", "GRAPH"), bounds, "_ks_direct_max",
          lambda real: lambda g: (2.0, None), "direct_agreement"),
+        (("ks", "GRAPH"), bounds, "_ks_direct_max",
+         lambda real: lambda g: (real(g)[0] + 1e-6, real(g)[1]), "direct_agreement"),
         (("ks", "GRAPH"), bounds, "product_action",
          lambda real: lambda words: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)),
          "quantum_oracle_agreement"),
@@ -305,8 +354,8 @@ class TestInvariantFailure:
          lambda real: lambda n, d: real(n, d) + 1e-6, "agreement"),
         (("paradox", "GRAPH"), paradox, "check_infeasible_exhaustive",
          lambda real: lambda system, cap: dataclasses.replace(real(system, cap), infeasible=False), "agreement"),
-    ], ids=["bell", "ks direct", "ks quantum", "lemma sweep", "lemma sweep scan skipped",
-            "lemma closed form", "paradox"])
+    ], ids=["bell", "bell spectral witness", "bell hermiticity", "ks direct", "ks direct near",
+            "ks quantum", "lemma sweep", "lemma sweep scan skipped", "lemma closed form", "paradox"])
     def test_disagreeing_oracle_exits_four(self, triangle_file, monkeypatch, capsys, argv, module, name, wrong, field):
         monkeypatch.setattr(module, name, wrong(getattr(module, name)))
         assert cli.main([triangle_file if a == "GRAPH" else a for a in argv]) == cli.EXIT_INVARIANT

@@ -146,6 +146,14 @@ class TestClassification:
         assert not rep.strict_weakly_primary or rep.is_weakly_primary  # strict never exceeds operative
         assert rep.is_weakly_primary
 
+    def test_strict_weakly_primary_needs_one_vertex(self):
+        # vertex 0 has weights 1 and 5, coprime over the integers; vertex 1 has 2 and 4,
+        # which share the factor 2, and gcd(2, 4, 6) = 2 too
+        g = WeightedGraph.from_edges(6, 4, [(0, 2, 1), (0, 3, 5), (1, 2, 2), (1, 3, 4), (2, 3, 3)])
+        rep = classify_ghz(g)
+        assert not rep.strict_primary
+        assert rep.strict_weakly_primary
+
     def test_odd_modulus_reason(self):
         g = WeightedGraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         rep = classify_ghz(g)
@@ -358,6 +366,9 @@ class TestFileFormat:
         # rejected before the n x n adjacency matrix is allocated
         ({"d": 2, "n": 4097, "edges": []}, "'n' must be at most 4096"),
         ({"d": 2, "n": 10**9, "edges": []}, "'n' must be at most 4096"),
+        # d and the weights must fit the int64 adjacency
+        ({"d": 2**63, "n": 3, "edges": []}, "'d' must be below 2\\^63, got a 64-bit"),
+        ({"d": 2**70, "n": 3, "edges": [[0, 1, 2**69]]}, "'d' must be below 2\\^63, got a 71-bit"),
     ])
     def test_schema_violations(self, doc, fragment):
         with pytest.raises(GraphFormatError, match=fragment):

@@ -90,6 +90,11 @@ def monomial_matrix(index, phase, d):
     return mat
 
 
+def pair_loop_edges(g):
+    """Oracle: every pair u < v in row-major order whose weight is nonzero."""
+    return [(u, v, int(g.adj[u, v])) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
+
+
 def pair_loop_coprime_pair(weights, d, skip, strict):
     """Oracle: the first pair b < c (both != skip) in lexicographic order."""
     others = [u for u in range(len(weights)) if u != skip]
@@ -224,3 +229,11 @@ def test_coprime_pair_matches_pair_loop(case, data, strict):
     skip = data.draw(st.integers(0, len(weights) - 1))
     row = np.array(weights, dtype=np.int64)
     assert _coprime_pair(row, d, skip, strict) == pair_loop_coprime_pair(weights, d, skip, strict)
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_edges_match_pair_loop(g):
+    edges = g.edges()
+    assert edges == pair_loop_edges(g)
+    assert all(type(x) is int for edge in edges for x in edge)

@@ -1,16 +1,19 @@
-"""The split-counter scan kernel against a plain counter loop, and the four
+"""The split-counter scan kernel against a plain counter loop, the four
 exhaustive scans pinned to the values the per-value loops they replaced
-reported."""
+reported, and the one size check behind every cap."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from ghzgraphs._search import counter_digits, digit_chunks, scan_max
+from ghzgraphs._search import counter_digits, digit_chunks, scan_max, search_size
 from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_brute
-from ghzgraphs.graphs import k4, triangle
-from ghzgraphs.paradox import check_infeasible_exhaustive, constraint_system
+from ghzgraphs.errors import CapExceededError
+from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
+from ghzgraphs.paradox import ParadoxSystem, check_infeasible_exhaustive, constraint_system
+from ghzgraphs.pauli import PauliWord, to_matrix, word_action
+from ghzgraphs.states import build_state, joint_plus_one_dimension
 
 
 def loop_scan_max(forms, tables, base):
@@ -112,3 +115,42 @@ class TestPinnedScans:
         control = check_infeasible_exhaustive(system.with_final_rhs(0))
         assert (control.infeasible, control.searched, control.max_satisfied_rows,
                 control.satisfying_witness) == (False, 6**8, 5, (0,) * 8)
+
+
+# 240 vertices at d = 2^62: d^240 = 2^14880 has 4480 decimal digits, past the
+# 4300 that Python converts to a string
+WIDE = WeightedGraph(2**62, np.zeros((240, 240), dtype=np.int64))
+
+
+class TestSearchSize:
+    def test_size_over_cap_is_refused_as_a_power(self):
+        with pytest.raises(CapExceededError, match="^scan of size 10\\^3 exceeds cap 999$"):
+            search_size("scan", 10, 3, 999)
+
+    def test_matches_the_plain_comparison(self):
+        # the shortcut refuses without computing base**digits; it must refuse exactly the sizes over cap
+        for base in range(2, 18):
+            for digits in range(0, 12):
+                for cap in (1, 2, 3, 7, 8, 9, 255, 256, 257, 10**4, base**digits - 1, base**digits):
+                    if cap < 1:
+                        continue
+                    if base**digits <= cap:
+                        assert search_size("scan", base, digits, cap) == base**digits
+                    else:
+                        with pytest.raises(CapExceededError):
+                            search_size("scan", base, digits, cap)
+
+    @pytest.mark.parametrize("call", [
+        lambda: next(enumerate_ghz_graphs(200, 4)),
+        lambda: lattice_bound_brute(8000, 4),
+        lambda: bell_classical_max(WeightedGraph(2**62, np.zeros((120, 120), dtype=np.int64))),
+        lambda: check_infeasible_exhaustive(ParadoxSystem(2**62, 120, np.zeros((1, 240), dtype=np.int64), [0])),
+        lambda: build_state(WIDE),
+        lambda: joint_plus_one_dimension(WIDE),
+        lambda: word_action(PauliWord.identity(2**62, 240)),
+        lambda: to_matrix(PauliWord.identity(2**62, 240)),
+    ], ids=["enumerate", "lattice", "bell", "paradox", "state", "projector", "word action", "matrix"])
+    def test_sizes_past_the_int_string_limit_are_refused(self, call):
+        with pytest.raises(CapExceededError, match="\\^") as info:
+            call()
+        assert len(str(info.value)) < 120
