@@ -10,6 +10,7 @@ paradox module).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import digit_chunks, search_size
+from ._search import CHUNK, digit_chunks, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, SUBSET_CAP
 from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
@@ -211,12 +212,36 @@ def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:
     return WeightedGraph(g.d, g.adj[np.ix_(idx, idx)])
 
 
+def _ghz_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
+    """Which blocks of a (c, k, k) stack of adjacency blocks pass the GHZ test.
+
+    Degree and weight sums are int64, as in ``degree`` and ``total_weight``.
+    Only blocks that pass both get the connectivity test, which grows the
+    set reached from vertex 0 along nonzero edges until it stops growing.
+    """
+    ok = (blocks.sum(axis=1) % d == 0).all(axis=1) & (blocks.sum(axis=(1, 2)) // 2 % d != 0)
+    hits = np.nonzero(ok)[0]
+    edge = blocks[hits] != 0
+    seen = np.zeros(edge.shape[:2], dtype=bool)
+    seen[:, 0] = True
+    while True:
+        grown = seen | (seen[:, None, :] @ edge)[:, 0]
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    ok[hits] = seen.all(axis=1)
+    return ok
+
+
 def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None = None) -> list[tuple[int, ...]]:
     """Vertex subsets whose induced subgraph passes the GHZ test.
 
     Subsets come sorted by size, lexicographic within each size.  The walk
-    visits sum_k C(n, k) subsets, one GHZ test each, and is refused before
-    it starts when that exceeds ``SUBSET_CAP``.
+    visits sum_k C(n, k) subsets and is refused before it starts when that
+    exceeds ``SUBSET_CAP``.  The subsets of one size are tested as stacks of
+    their induced adjacency blocks, each stack at most ``CHUNK`` entries
+    (one block when a block is larger), with the answer
+    ``classify_ghz(subgraph(g, vs)).is_ghz`` gives.
     """
     if max_size is None:
         max_size = g.n
@@ -228,9 +253,12 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
                                "narrow min_size/max_size")
     found = []
     for k in range(min_size, max_size + 1):
-        for vs in itertools.combinations(range(g.n), k):
-            if classify_ghz(subgraph(g, vs)).is_ghz:
-                found.append(vs)
+        subsets = itertools.combinations(range(g.n), k)
+        batch = max(1, CHUNK // (k * k))
+        while chunk := list(itertools.islice(subsets, batch)):
+            combos = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, k)
+            ok = _ghz_blocks(g.adj[combos[:, :, None], combos[:, None, :]], g.d)
+            found.extend(itertools.compress(chunk, ok.tolist()))
     return found
 
 
@@ -242,17 +270,38 @@ def graph_from_code(n: int, d: int, code) -> WeightedGraph:
     return WeightedGraph(d, adj)
 
 
+@functools.cache
+def _relabel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables (rows, cols), each n! x n(n-1)/2, read-only.
+
+    Row p lists the adjacency entries that fill the edge slots
+    (0,1),(0,2),...,(n-2,n-1) under the p-th permutation of
+    itertools.permutations; at n = 8 each table is about 9 MB.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    tables = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def canonical_code(g: WeightedGraph) -> tuple[int, ...]:
-    """Minimum edge-slot encoding over all vertex relabelings (n <= 8)."""
+    """Minimum edge-slot encoding over all vertex relabelings (n <= 8).
+
+    All n! relabelled codes are gathered at once through the cached index
+    tables of ``_relabel_tables``; the lexicographic minimum keeps, column by
+    column, the codes equal to that column's minimum.
+    """
     if g.n > ISO_DEDUP_MAX_VERTICES:
         raise ValueError(f"brute-force canonical form limited to n <= {ISO_DEDUP_MAX_VERTICES}")
-    pairs = list(itertools.combinations(range(g.n), 2))
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        code = tuple(int(g.adj[perm[u], perm[v]]) for u, v in pairs)
-        if best is None or code < best:
-            best = code
-    return best
+    rows, cols = _relabel_tables(g.n)
+    codes = g.adj[rows, cols]
+    for j in range(codes.shape[1]):
+        if len(codes) == 1:
+            break
+        codes = codes[codes[:, j] == codes[:, j].min()]
+    return tuple(codes[0].tolist())
 
 
 def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: int = SEARCH_CAP):

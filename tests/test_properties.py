@@ -1,6 +1,8 @@
 """Property tests: closed forms and fast paths against their brute-force oracles."""
 
+import itertools
 import math
+import time
 from functools import reduce
 
 import numpy as np
@@ -15,12 +17,14 @@ from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # no
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
     _coprime_pair,
+    canonical_code,
     classify_ghz,
     complete_4j3,
     enumerate_ghz_graphs,
     find_ghz_subgraphs,
     k4,
     odd_loop,
+    subgraph,
     triangle,
 )
 from ghzgraphs.paradox import (  # noqa: E402
@@ -93,6 +97,18 @@ def monomial_matrix(index, phase, d):
 def pair_loop_edges(g):
     """Oracle: every pair u < v in row-major order whose weight is nonzero."""
     return [(u, v, int(g.adj[u, v])) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
+
+
+def permutation_loop_code(g):
+    """Oracle: the least edge-slot code over every relabelling, one permutation at a time."""
+    pairs = list(itertools.combinations(range(g.n), 2))
+    return min(tuple(int(g.adj[p[u], p[v]]) for u, v in pairs) for p in itertools.permutations(range(g.n)))
+
+
+def subset_loop_ghz(g, lo, hi):
+    """Oracle: one classify_ghz per induced subgraph, sizes lo..hi in order."""
+    return [vs for k in range(lo, hi + 1) for vs in itertools.combinations(range(g.n), k)
+            if classify_ghz(subgraph(g, vs)).is_ghz]
 
 
 def pair_loop_coprime_pair(weights, d, skip, strict):
@@ -237,3 +253,76 @@ def test_edges_match_pair_loop(g):
     edges = g.edges()
     assert edges == pair_loop_edges(g)
     assert all(type(x) is int for edge in edges for x in edge)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Z_d graphs with n <= 7 and d in {2, 3, 4, 6}: random weights, or a tie-heavy
+    shape (edgeless, complete with one weight, one weight on a random edge set)."""
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["random", "edgeless", "complete", "one_weight"]))
+    w = draw(st.integers(1, d - 1))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if kind == "random":
+                x = draw(st.integers(0, d - 1))
+            elif kind == "one_weight":
+                x = draw(st.sampled_from([0, w]))
+            else:
+                x = w if kind == "complete" else 0
+            adj[u, v] = adj[v, u] = x
+    return WeightedGraph(d, adj)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(tie_heavy_graphs())
+def test_canonical_code_matches_permutation_loop(g):
+    code = canonical_code(g)
+    assert code == permutation_loop_code(g)
+    assert all(type(x) is int for x in code)
+
+
+def test_canonical_code_refuses_n9_before_building_tables():
+    g = WeightedGraph(2, np.ones((9, 9), dtype=np.int64) - np.eye(9, dtype=np.int64))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="n <= 8"):
+        canonical_code(g)
+    assert time.perf_counter() - start < 0.1
+
+
+PLANTS = {2: [triangle(2)], 4: [triangle(4), k4(4, 1, 1, 0)], 6: [triangle(6), k4(6, 1, 1, 1), k4(6, 2, 1, 0)]}
+
+
+@st.composite
+def windowed_planted_graphs(draw):
+    """Random Z_d graphs (n <= 12, d in {2, 4, 6}), some with a triangle or k4 planted
+    as an induced subgraph, and a min_size..max_size window."""
+    d = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.integers(3, 12))
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                adj[u, v] = adj[v, u] = draw(st.integers(1, d - 1))
+    planted = None
+    plants = [p for p in PLANTS[d] if p.n <= n]
+    if draw(st.booleans()):
+        plant = draw(st.sampled_from(plants))
+        planted = tuple(sorted(draw(st.permutations(range(n)))[:plant.n]))
+        adj[np.ix_(planted, planted)] = plant.adj
+    lo = draw(st.just(3) | st.integers(3, n))
+    hi = draw(st.just(n) | st.integers(lo, n))
+    return WeightedGraph(d, adj), lo, hi, planted
+
+
+@settings(PROPERTY, max_examples=60)
+@given(windowed_planted_graphs())
+def test_find_ghz_subgraphs_matches_subset_loop(case):
+    g, lo, hi, planted = case
+    found = find_ghz_subgraphs(g, lo, hi)
+    assert found == subset_loop_ghz(g, lo, hi)
+    if planted is not None and lo <= len(planted) <= hi:
+        assert planted in found
