@@ -362,6 +362,11 @@ def graph_from_dict(obj) -> WeightedGraph:
     n = _require_int(obj, "n", 1)
     if n > DENSE_CAP:  # bounds the n x n adjacency matrix at 128 MiB
         raise GraphFormatError(f"field 'n' must be at most {DENSE_CAP}, got {n}")
+    # bounds the int64 sums of un-reduced weights: the adjacency sum, below
+    # n^2 (d-1), and a z.x dot of reduced exponents, below n (d-1)^2
+    if n * (d - 1) * max(n, d - 1) >= 2**63:
+        raise GraphFormatError(f"n * (d-1) * max(n, d-1) must be below 2^63 so that int64 weight sums "
+                               f"cannot wrap, got n={n} and a {d.bit_length()}-bit d")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of [u, v, w] triples")

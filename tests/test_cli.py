@@ -101,6 +101,16 @@ class TestCheck:
         assert proc.returncode == 2
         assert "'d' must be below 2^63" in proc.stderr
 
+    def test_weight_sums_past_int64_exit_two(self, tmp_path):
+        # the 5-cycle's total weight 5 * 2^61 would wrap to 2^61 in int64
+        cycle = tmp_path / "c5.json"
+        cycle.write_text(json.dumps({"d": 2**62, "n": 5, "edges": [
+            [0, 1, 2**61], [1, 2, 2**61], [2, 3, 2**61], [3, 4, 2**61], [0, 4, 2**61]]}))
+        proc = run_cli("check", str(cycle))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "must be below 2^63" in proc.stderr
+
     def test_text_format(self, triangle_file):
         proc = run_cli("check", triangle_file, "--format", "text")
         assert proc.returncode == 0

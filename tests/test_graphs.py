@@ -1,6 +1,7 @@
 """Structural predicates, families, enumeration, and the graph file format."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -369,10 +370,23 @@ class TestFileFormat:
         # d and the weights must fit the int64 adjacency
         ({"d": 2**63, "n": 3, "edges": []}, "'d' must be below 2\\^63, got a 64-bit"),
         ({"d": 2**70, "n": 3, "edges": [[0, 1, 2**69]]}, "'d' must be below 2\\^63, got a 71-bit"),
+        # and the int64 sums of un-reduced weights must not wrap
+        ({"d": 2**62, "n": 5, "edges": []}, "n \\* \\(d-1\\) \\* max\\(n, d-1\\) must be below 2\\^63"),
+        ({"d": 3037000501, "n": 1, "edges": []}, "got n=1 and a 32-bit d"),
     ])
     def test_schema_violations(self, doc, fragment):
         with pytest.raises(GraphFormatError, match=fragment):
             graph_from_dict(doc)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_largest_modulus_for_n_loads(self, n):
+        # the largest d - 1 with n (d-1) max(n, d-1) below 2^63
+        top = math.isqrt((2**63 - 1) // n)
+        while n * top * max(n, top) >= 2**63:
+            top -= 1
+        assert graph_from_dict({"d": top + 1, "n": n, "edges": []}).d == top + 1
+        with pytest.raises(GraphFormatError, match="must be below 2\\^63"):
+            graph_from_dict({"d": top + 2, "n": n, "edges": []})
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"

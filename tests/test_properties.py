@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ghzgraphs._search import scan_max  # noqa: E402
+from ghzgraphs._search import CHUNK, scan_max  # noqa: E402
 from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
@@ -42,6 +42,7 @@ from ghzgraphs.pauli import (  # noqa: E402
     word_action,
 )
 from ghzgraphs.states import build_state, to_dense  # noqa: E402
+from test_search import loop_scan_max  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -326,3 +327,33 @@ def test_find_ghz_subgraphs_matches_subset_loop(case):
     assert found == subset_loop_ghz(g, lo, hi)
     if planted is not None and lo <= len(planted) <= hi:
         assert planted in found
+
+
+@st.composite
+def scan_cases(draw):
+    """Small forms, often with repeated residue vectors (small-order
+    entries, a row summing the others), int or float tables, any chunk."""
+    base = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 4))
+    num_digits = draw(st.integers(0, 4))
+    coeff = st.sampled_from([0, 1, base // 2, base - 1, base + 2]) | st.integers(-2 * base, 2 * base)
+    forms = np.array([[draw(coeff) for _ in range(num_digits)] for _ in range(rows)], dtype=np.int64)
+    if rows > 1 and draw(st.booleans()):
+        forms[-1] = forms[:-1].sum(axis=0)
+    if draw(st.booleans()):
+        tables = np.array([[draw(st.integers(-2, 2)) for _ in range(base)] for _ in range(rows)])
+    else:
+        entry = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, -1.25])
+        tables = np.array([[draw(entry) for _ in range(base)] for _ in range(rows)])
+    chunk = draw(st.integers(1, 40) | st.just(CHUNK))
+    return forms, tables, base, chunk
+
+
+@settings(PROPERTY, max_examples=200)
+@given(scan_cases())
+def test_scan_max_matches_counter_loop(case):
+    forms, tables, base, chunk = case
+    got = scan_max(forms, tables, base, chunk=chunk)
+    want = loop_scan_max(forms, tables, base)
+    assert got == want
+    assert repr(got[0]) == repr(want[0])

@@ -1,13 +1,15 @@
-"""The split-counter scan kernel against a plain counter loop, the four
+"""The distinct-residue scan kernel against a plain counter loop, the four
 exhaustive scans pinned to the values the per-value loops they replaced
 reported, and the one size check behind every cap."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ghzgraphs._search import counter_digits, digit_chunks, scan_max, search_size
+from ghzgraphs import bounds, paradox
+from ghzgraphs._search import CHUNK, counter_digits, digit_chunks, scan_max, search_size
 from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_brute
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
@@ -58,8 +60,9 @@ class TestScanMax:
     @pytest.mark.parametrize("floats", [False, True])
     @pytest.mark.parametrize("chunk", [3, 5, 9, 27])
     def test_multi_block(self, chunk, floats):
-        # blocks of the last one, one (chunk not a power of 3), two and three
-        # digits, so that two to four high digits are left to the block loop
+        # lists of the residues of the last one, one (chunk not a power of 3),
+        # two and three digits; the digit above runs one translate per block,
+        # and three, three, two and one digits are left to the block loop
         forms, tables = random_case(chunk, rows=5, num_digits=5, base=3, floats=floats)
         assert scan_max(forms, tables, 3, chunk=chunk) == loop_scan_max(forms, tables, 3)
 
@@ -83,6 +86,92 @@ class TestScanMax:
         forms = np.eye(3, dtype=np.int64)
         tables = np.tile(np.arange(4), (3, 1))
         assert scan_max(forms, tables, 4, chunk=4) == (9, (3, 3, 3))
+
+
+def assert_matches_loop(forms, tables, base, chunk=CHUNK):
+    got = scan_max(forms, tables, base, chunk=chunk)
+    want = loop_scan_max(forms, tables, base)
+    assert got == want
+    assert repr(got[0]) == repr(want[0])
+
+
+def captured_scan(monkeypatch, module, call):
+    """The forms, tables and base of the one scan_max call that ``call`` makes through ``module``."""
+    seen = []
+
+    def recording_scan(forms, tables, base):
+        seen.append((np.array(forms), np.array(tables), base))
+        return scan_max(forms, tables, base)
+
+    monkeypatch.setattr(module, "scan_max", recording_scan)
+    call()
+    (case,) = seen
+    return case
+
+
+class TestDistinctResidues:
+    """Forms whose residue vectors repeat, so that the kernel lists fewer
+    vectors than counter values, against the plain counter loop."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, 7, 64, CHUNK])
+    @pytest.mark.parametrize("scan", ["paradox", "bell", "ks"])
+    def test_scans_with_a_row_sum_of_others(self, monkeypatch, scan, chunk):
+        # the paradox system's final row and the KS product row are sums of
+        # other rows mod d; Bell's collective row is not, as a control
+        edge = WeightedGraph(4, np.array([[0, 1], [1, 0]]))
+        module, call = {
+            "paradox": (paradox, lambda: check_infeasible_exhaustive(constraint_system(triangle(4)))),
+            "bell": (bounds, lambda: bell_classical_max(triangle(4))),
+            "ks": (bounds, lambda: _ks_direct_max(edge)),
+        }[scan]
+        forms, tables, base = captured_scan(monkeypatch, module, call)
+        assert_matches_loop(forms, tables, base, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 12, CHUNK])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orders_that_properly_divide_the_base(self, seed, chunk):
+        rng = np.random.default_rng(seed)
+        forms = rng.choice([0, 2, 3, 4], size=(3, 4))
+        tables = rng.normal(size=(3, 6))
+        assert_matches_loop(forms, tables, 6, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16, CHUNK])
+    def test_zero_column_and_zero_row(self, chunk):
+        forms = np.array([[1, 0, 2, 1], [0, 0, 0, 0], [3, 0, 1, 1]])
+        tables = np.array([[0.5, -1.0, 2.0, 0.25], [7.0, 1.0, -3.0, 0.0], [0.1, 0.2, 0.3, -0.4]])
+        assert_matches_loop(forms, tables, 4, chunk)
+
+    @pytest.mark.parametrize("chunk", [2, 9, CHUNK])
+    def test_negative_zeros_and_ties(self, chunk):
+        forms = np.array([[1, 2, 0], [2, 4, 0], [3, 0, 3]])
+        tables = np.array([[-0.0, -0.0, 0.0, -0.0, -0.0, -0.0]] * 3)
+        assert_matches_loop(forms, tables, 6, chunk)
+        tables[1, 2] = 0.5
+        assert_matches_loop(forms, tables, 6, chunk)
+        assert_matches_loop(forms, np.full((3, 6), 0.125), 6, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_digit_wider_than_chunk_above_a_grown_list(self, chunk):
+        # the last column has order 2, the one above it order 6: blocks of
+        # that digit's translates run over a list of two vectors
+        forms = np.array([[1, 5, 3], [2, 1, 0], [0, 3, 3]])
+        tables = np.random.default_rng(5).normal(size=(3, 6))
+        assert_matches_loop(forms, tables, 6, chunk)
+
+    def test_one_wide_digit_stays_within_rows_times_chunk(self):
+        # a base-10^6 digit scanned 2^10 residues at a time: no array as wide
+        # as the base (the tables are the caller's) and no loop over its values
+        base, chunk = 10**6, 2**10
+        tables = np.zeros((2, base))
+        tables[0, 123456] = tables[1, 3 * 123456 % base] = 1.0
+        tracemalloc.start()
+        try:
+            result = scan_max(np.array([[1], [3]]), tables, base, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2.0, (123456,))
+        assert peak < 8 * 2 * chunk * 8
 
 
 class TestPinnedScans:
