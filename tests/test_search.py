@@ -116,13 +116,12 @@ class TestDistinctResidues:
     @pytest.mark.parametrize("chunk", [1, 4, 7, 64, CHUNK])
     @pytest.mark.parametrize("scan", ["paradox", "bell", "ks"])
     def test_scans_with_a_row_sum_of_others(self, monkeypatch, scan, chunk):
-        # the paradox system's final row and the KS product row are sums of
-        # other rows mod d; Bell's collective row is not, as a control
-        edge = WeightedGraph(4, np.array([[0, 1], [1, 0]]))
+        # on a GHZ graph the paradox system's final row, Bell's collective
+        # row and the KS product row are combinations of the other rows mod d
         module, call = {
             "paradox": (paradox, lambda: check_infeasible_exhaustive(constraint_system(triangle(4)))),
             "bell": (bounds, lambda: bell_classical_max(triangle(4))),
-            "ks": (bounds, lambda: _ks_direct_max(edge)),
+            "ks": (bounds, lambda: _ks_direct_max(triangle(2))),
         }[scan]
         forms, tables, base = captured_scan(monkeypatch, module, call)
         assert_matches_loop(forms, tables, base, chunk)
