@@ -101,11 +101,9 @@ def is_connected(g: WeightedGraph) -> bool:
     seen[0] = True
     stack = [0]
     while stack:
-        u = stack.pop()
-        for v in np.nonzero(g.adj[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+        fresh = np.flatnonzero((g.adj[stack.pop()] != 0) & ~seen)
+        seen[fresh] = True
+        stack.extend(fresh.tolist())
     return bool(seen.all())
 
 
@@ -213,23 +211,25 @@ def subgraph(g: WeightedGraph, vertices) -> WeightedGraph:
 
 
 def _ghz_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
-    """Which blocks of a (c, k, k) stack of adjacency blocks pass the GHZ test.
+    """Which blocks of a (k, k, c) stack of adjacency blocks pass the GHZ test.
 
-    Degree and weight sums are int64, as in ``degree`` and ``total_weight``.
-    Only blocks that pass both get the connectivity test, which grows the
-    set reached from vertex 0 along nonzero edges until it stops growing.
+    Block j is blocks[:, :, j].  Degree and weight sums are int64, as in
+    ``degree`` and ``total_weight``.  Only blocks that pass both get the
+    connectivity test: the set reached from vertex 0 along nonzero edges
+    grows until it stops growing.
     """
-    ok = (blocks.sum(axis=1) % d == 0).all(axis=1) & (blocks.sum(axis=(1, 2)) // 2 % d != 0)
-    hits = np.nonzero(ok)[0]
-    edge = blocks[hits] != 0
-    seen = np.zeros(edge.shape[:2], dtype=bool)
-    seen[:, 0] = True
+    degs = blocks.sum(axis=0)
+    ok = (degs % d == 0).all(axis=0) & (degs.sum(axis=0) // 2 % d != 0)
+    hits = np.flatnonzero(ok)
+    edge = blocks[:, :, hits] != 0
+    seen = np.zeros(edge.shape[1:], dtype=bool)
+    seen[0] = True
     while True:
-        grown = seen | (seen[:, None, :] @ edge)[:, 0]
+        grown = seen | (seen[:, None, :] & edge).any(axis=0)
         if np.array_equal(grown, seen):
             break
         seen = grown
-    ok[hits] = seen.all(axis=1)
+    ok[hits] = seen.all(axis=0)
     return ok
 
 
@@ -238,10 +238,10 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
 
     Subsets come sorted by size, lexicographic within each size.  The walk
     visits sum_k C(n, k) subsets and is refused before it starts when that
-    exceeds ``SUBSET_CAP``.  The subsets of one size are tested as stacks of
-    their induced adjacency blocks, each stack at most ``CHUNK`` entries
-    (one block when a block is larger), with the answer
-    ``classify_ghz(subgraph(g, vs)).is_ghz`` gives.
+    exceeds ``SUBSET_CAP``.  The subsets of one size are tested by
+    ``_ghz_blocks`` as (k, k, c) stacks of their induced adjacency blocks,
+    each stack at most ``CHUNK`` entries (one block when a block is larger),
+    with the answer ``classify_ghz(subgraph(g, vs)).is_ghz`` gives.
     """
     if max_size is None:
         max_size = g.n
@@ -257,16 +257,18 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
         batch = max(1, CHUNK // (k * k))
         while chunk := list(itertools.islice(subsets, batch)):
             combos = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, k)
-            ok = _ghz_blocks(g.adj[combos[:, :, None], combos[:, None, :]], g.d)
+            ok = _ghz_blocks(g.adj[combos.T[:, None, :], combos.T[None, :, :]], g.d)
             found.extend(itertools.compress(chunk, ok.tolist()))
     return found
 
 
 def graph_from_code(n: int, d: int, code) -> WeightedGraph:
     """Graph whose edge slots (0,1),(0,2),...,(n-2,n-1) carry the given weights."""
+    us, vs = np.triu_indices(n, 1)
+    if np.shape(code) != us.shape:
+        raise ValueError(f"a code for n={n} has {us.size} edge weights, got shape {np.shape(code)}")
     adj = np.zeros((n, n), dtype=np.int64)
-    for (u, v), w in zip(itertools.combinations(range(n), 2), code, strict=True):
-        adj[u, v] = adj[v, u] = int(w)
+    adj[us, vs] = adj[vs, us] = code
     return WeightedGraph(d, adj)
 
 
@@ -279,8 +281,7 @@ def _relabel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     itertools.permutations; at n = 8 each table is about 9 MB.
     """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    tables = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    tables = tuple(perms[:, idx] for idx in np.triu_indices(n, 1))
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -309,7 +310,9 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
 
     Graphs come in ascending order of the base-d encoding of the edge slots
     (0,1),(0,2),...,(n-2,n-1).  With dedup_isomorphism only the
-    encoding-minimal member of each isomorphism class is yielded.
+    encoding-minimal member of each isomorphism class is yielded.  Each block
+    of counter values is tested by ``_ghz_blocks`` as an (n, n, c) stack of
+    at most ``CHUNK`` entries, and only the graphs that pass are built.
     """
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got (n={n}, d={d})")
@@ -317,21 +320,14 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
     search_size(f"enumeration at (n={n}, d={d})", d, m, cap)
     if dedup_isomorphism and n > ISO_DEDUP_MAX_VERTICES:
         raise ValueError(f"isomorphism dedup limited to n <= {ISO_DEDUP_MAX_VERTICES}")
-    pairs = list(itertools.combinations(range(n), 2))
-    inc = np.zeros((n, m), dtype=np.int64)
-    for j, (u, v) in enumerate(pairs):
-        inc[u, j] = inc[v, j] = 1
-    for _, digits in digit_chunks(m, d):
-        degs_ok = ((inc @ digits) % d == 0).all(axis=0)
-        tot_ok = digits.sum(axis=0) % d != 0
-        for col in np.nonzero(degs_ok & tot_ok)[0]:
-            code = tuple(int(x) for x in digits[:, col])
+    us, vs = np.triu_indices(n, 1)
+    for _, digits in digit_chunks(m, d, max(1, CHUNK // (n * n))):
+        blocks = np.zeros((n, n, digits.shape[1]), dtype=np.int64)
+        blocks[us, vs] = blocks[vs, us] = digits
+        for code in digits[:, _ghz_blocks(blocks, d)].T:
             g = graph_from_code(n, d, code)
-            if not is_connected(g):
-                continue
-            if dedup_isomorphism and code != canonical_code(g):
-                continue
-            yield g
+            if not dedup_isomorphism or tuple(code.tolist()) == canonical_code(g):
+                yield g
 
 
 def graph_to_dict(g: WeightedGraph) -> dict:

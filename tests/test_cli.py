@@ -331,6 +331,16 @@ class TestInvariantFailure:
         assert captured.out == ""
         assert captured.err == "error: the stabilizer product is not the flipped collective shift\n"
 
+    def test_non_commuting_table_exits_four(self, triangle_file, monkeypatch, capsys):
+        # a stray Z_0 on g_0 commutes with every other g_v but not with X_V^†
+        real = paradox.vertex_stabilizer
+        monkeypatch.setattr(paradox, "vertex_stabilizer",
+                            lambda g, v: real(g, v) * PauliWord.single_z(g.d, g.n, 0) if v == 0 else real(g, v))
+        assert cli.main(["paradox", triangle_file]) == cli.EXIT_INVARIANT == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table rows g_0 and X_V^† fail to commute (phase 1)\n"
+
     def test_scan_disagreeing_with_closed_form_exits_four(self, triangle_file, monkeypatch, capsys):
         wrong = bounds.BoundReport(kind="bell_classical", classical_bound=3.0, notes={"searched": 64})
         monkeypatch.setattr(bounds, "bell_classical_max", lambda g, cap: wrong)

@@ -16,6 +16,7 @@ from ghzgraphs.graphs import (
     degree,
     enumerate_ghz_graphs,
     find_ghz_subgraphs,
+    graph_from_code,
     graph_from_dict,
     graph_to_dict,
     is_connected,
@@ -265,10 +266,24 @@ class TestEnumeration:
         # total weight is even
         assert list(enumerate_ghz_graphs(4, 2)) == []
 
-    def test_enumeration_matches_scan_4_4(self):
-        found = [tuple(int(x) for x in g.adj[np.triu_indices(4, 1)]) for g in enumerate_ghz_graphs(4, 4)]
-        assert found == brute_ghz_scan(4, 4)
+    @pytest.mark.parametrize("n, d", [(4, 4), (5, 2), (4, 6)], ids=["4-4", "5-2", "4-6"])
+    def test_enumeration_matches_scan(self, n, d):
+        found = [tuple(int(x) for x in g.adj[np.triu_indices(n, 1)]) for g in enumerate_ghz_graphs(n, d)]
+        assert found == brute_ghz_scan(n, d)
         assert len(found) > 0
+
+    def test_five_vertices_d4_across_stack_boundaries(self):
+        # 4^10 codes run through about 100 stacks of CHUNK entries
+        found = list(enumerate_ghz_graphs(5, 4))
+        codes = [tuple(int(x) for x in g.adj[np.triu_indices(5, 1)]) for g in found]
+        assert len(codes) == 954
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(classify_ghz(g).is_ghz for g in found)
+
+    @pytest.mark.parametrize("code", [(1, 2), (1,), 1, (1, 2, 3, 4)], ids=["short", "one", "scalar", "long"])
+    def test_graph_from_code_rejects_wrong_length(self, code):
+        with pytest.raises(ValueError, match="3 edge weights"):
+            graph_from_code(3, 4, code)
 
     def test_every_output_is_ghz_and_weight_is_half_d(self):
         for n, d in [(3, 2), (3, 4), (4, 4), (5, 2)]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghzgraphs import _search, paradox
-from ghzgraphs.errors import CapExceededError, NotGhzGraphError
+from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.paradox import (
     InfeasibilityCertificate,
@@ -18,6 +18,7 @@ from ghzgraphs.paradox import (
     mermin_table,
     subgraph_paradox,
 )
+from ghzgraphs.pauli import PauliWord
 from ghzgraphs.states import build_state, eigenvalue_of
 
 
@@ -163,6 +164,18 @@ class TestMerminTable:
     def test_non_ghz_rejected(self):
         with pytest.raises(NotGhzGraphError):
             mermin_table(WeightedGraph.from_edges(2, 2, [(0, 1, 1)]))
+
+    def test_non_commuting_rows_raise(self, monkeypatch):
+        # a stray Z_0 on g_0 commutes with every other g_v but not with X_V^†
+        real = paradox.vertex_stabilizer
+
+        def stray_z0(g, v):
+            word = real(g, v)
+            return word * PauliWord.single_z(g.d, g.n, 0) if v == 0 else word
+
+        monkeypatch.setattr(paradox, "vertex_stabilizer", stray_z0)
+        with pytest.raises(InvariantError, match=r"table rows g_0 and X_V\^† fail to commute"):
+            mermin_table(triangle(2))
 
 
 class TestGenuineness:

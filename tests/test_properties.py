@@ -22,6 +22,7 @@ from ghzgraphs.graphs import (  # noqa: E402
     complete_4j3,
     enumerate_ghz_graphs,
     find_ghz_subgraphs,
+    is_connected,
     k4,
     odd_loop,
     subgraph,
@@ -254,6 +255,20 @@ def test_edges_match_pair_loop(g):
     edges = g.edges()
     assert edges == pair_loop_edges(g)
     assert all(type(x) is int for edge in edges for x in edge)
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_is_connected_matches_plain_walk(g):
+    adj = g.adj.tolist()
+    reach, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for v in range(g.n):
+            if adj[u][v] and v not in reach:
+                reach.add(v)
+                frontier.append(v)
+    assert is_connected(g) is (len(reach) == g.n)
 
 
 @st.composite
