@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ghzgraphs._search import CHUNK, scan_max  # noqa: E402
+from ghzgraphs._search import BLOCK, CHUNK, scan_max  # noqa: E402
 from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
@@ -372,3 +372,38 @@ def test_scan_max_matches_counter_loop(case):
     want = loop_scan_max(forms, tables, base)
     assert got == want
     assert repr(got[0]) == repr(want[0])
+
+
+@st.composite
+def blocked_scan_cases(draw):
+    """Forms over up to 2^13 counter values, with rows that vanish on their
+    last digits so that blocks see them as constant, and int or float
+    tables."""
+    base = draw(st.integers(2, 8))
+    rows = draw(st.integers(2, 6))
+    top = 1
+    while base ** (top + 1) <= 2**13:
+        top += 1
+    num_digits = draw(st.integers(top - 1, top))
+    coeff = st.sampled_from([0, 1, base // 2, base - 1]) | st.integers(-base, base)
+    forms = np.array([[draw(coeff) for _ in range(num_digits)] for _ in range(rows)], dtype=np.int64)
+    for r in range(rows):
+        if draw(st.booleans()):
+            forms[r, draw(st.integers(0, num_digits)):] = 0
+    if draw(st.booleans()):
+        tables = np.array([[draw(st.integers(-2, 2)) for _ in range(base)] for _ in range(rows)])
+    else:
+        entry = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, -1.25])
+        tables = np.array([[draw(entry) for _ in range(base)] for _ in range(rows)])
+    return forms, tables, base
+
+
+@settings(PROPERTY, max_examples=40)
+@given(blocked_scan_cases())
+def test_scan_max_does_not_depend_on_the_block_size(case):
+    forms, tables, base = case
+    want = scan_max(forms, tables, base, chunk=CHUNK)
+    for chunk in (1, 16, 2**10, BLOCK):
+        got = scan_max(forms, tables, base, chunk=chunk)
+        assert got == want
+        assert repr(got) == repr(want)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ghzgraphs import bounds, paradox
-from ghzgraphs._search import CHUNK, counter_digits, digit_chunks, scan_max, search_size
+from ghzgraphs._search import BLOCK, CHUNK, counter_digits, digit_chunks, scan_max, search_size
 from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_brute
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
@@ -156,6 +156,57 @@ class TestDistinctResidues:
         forms = np.array([[1, 5, 3], [2, 1, 0], [0, 3, 3]])
         tables = np.random.default_rng(5).normal(size=(3, 6))
         assert_matches_loop(forms, tables, 6, chunk)
+
+    # base 6; rows 0 and 1 vanish on the last two digits and row 2 on the
+    # last one.  At chunk 36 the last two digits are listed and digit 1 runs
+    # one translate per block (step 1), so rows 0 and 1 are constant over a
+    # block.  At chunk 72 a block holds two translates of digit 1 (step 2):
+    # row 0's grown digits vanish but its translates do not, so only row 1
+    # is constant.  At chunk 4 the last digit (order 6) is wider than a
+    # block and rows 0, 1 and 2 are constant.
+    BLOCK_CONSTANT = np.array([[1, 2, 0, 0], [5, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 1], [3, 0, 4, 1]])
+
+    @pytest.mark.parametrize("chunk", [4, 36, 72, BLOCK])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [2, 3, 0, 1, 4], [3, 4, 2, 0, 1]],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["negative zeros", "ints"])
+    def test_block_constant_rows(self, kind, order, chunk):
+        rng = np.random.default_rng(17)
+        if kind == "ints":
+            tables = rng.integers(-3, 4, (5, 6))
+        else:
+            tables = rng.choice([-0.0, -0.0, -0.0, 0.5, -0.75], (5, 6))
+        assert_matches_loop(self.BLOCK_CONSTANT[order], tables[order], 6, chunk)
+
+    def test_leading_constant_rows_of_negative_zeros_start_from_zero(self):
+        # every value is 0 + (-0.0) + ... = 0.0, never -0.0
+        forms = self.BLOCK_CONSTANT[[0, 1, 3]]
+        tables = np.full((3, 6), -0.0)
+        for chunk in (4, 36, 72):
+            assert repr(scan_max(forms, tables, 6, chunk=chunk)) == "(0.0, (0, 0, 0, 0))"
+
+    @pytest.mark.parametrize("n,d", [(6, 12), (7, 8)])
+    def test_lattice_scan_past_one_block(self, n, d):
+        # 12^6 and 8^7 distinct residue vectors: blocks of 2^10, BLOCK and
+        # 2^16 entries against a CHUNK list of 12^5 or 8^6 vectors
+        table = np.cos(2 * np.pi / d * np.arange(d))
+        forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+        tables = [table] * n + [-table]
+        want = repr(scan_max(forms, tables, d, chunk=CHUNK))
+        for chunk in (2**10, BLOCK, 2**16):
+            assert repr(scan_max(forms, tables, d, chunk=chunk)) == want
+
+    def test_lattice_blocks_stay_small(self):
+        # the 12^6 lattice scan lists 12^4 residue vectors per block at the
+        # default BLOCK; at CHUNK it held seven rows of 12^5 (28.5 MB peak)
+        lattice_bound_brute(2, 4)
+        tracemalloc.start()
+        try:
+            lattice_bound_brute(6, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_one_wide_digit_stays_within_rows_times_chunk(self):
         # a base-10^6 digit scanned 2^10 residues at a time: no array as wide
