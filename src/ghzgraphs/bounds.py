@@ -19,7 +19,7 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
-from .errors import InvariantError
+from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
 from .pauli import PauliWord, dagger, multiply, power, product_action, stabilizer_product, vertex_stabilizer
 from .pauli import to_matrix  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
@@ -331,15 +331,20 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     the cosine objective on n+1 free lattice variables (the degree sums
     vanish mod d), so the bound is the closed-form lattice maximum.  Within
     cap a direct scan over independent assignments confirms the reduction.
+    notes["direct_space"] is the scan's size d^(3n+1): an int within cap,
+    the string "d^k" beyond it.
     """
     require_ghz(g, "contextuality bound")
     d, n = g.d, g.n
     bound = lattice_bound_closed(n + 1, d)
-    space = d ** (3 * n + 1)
     oracle_value = None
     agreement = None
     witness = None
-    if space <= cap:
+    try:
+        space = search_size("KS direct scan", d, 3 * n + 1, cap)
+    except CapExceededError:
+        space = f"{d}^{3 * n + 1}"  # over cap the size is written as in cap messages
+    else:
         oracle_value, witness = _ks_direct_max(g)
         agreement = abs(oracle_value - bound) <= TOLERANCE
     return BoundReport(

@@ -47,6 +47,12 @@ class WeightedGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
+        # bounds the int64 degree and weight sums, each below n^2 times the largest
+        # weight; weights are below d, so only a wide d needs the weights read
+        n2 = a.shape[0] ** 2
+        if n2 * (d - 1) >= 2**63 and n2 * int(a.max()) >= 2**63:
+            raise ValueError(f"n^2 times the largest weight must be below 2^63 so that int64 weight sums "
+                             f"cannot wrap, got n={a.shape[0]} and a {int(a.max()).bit_length()}-bit weight")
         a.setflags(write=False)
         self.d = d
         self.n = int(a.shape[0])
@@ -148,50 +154,50 @@ def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] |
     return None
 
 
-def classify_ghz(g: WeightedGraph) -> GhzReport:
-    """Run every structural test of the GHZ-graph definition at once."""
-    degs = tuple(degree(g, v) for v in range(g.n))
-    w = total_weight(g)
+def _ghz_tests(g: WeightedGraph) -> tuple[bool, bool, bool, tuple[str, ...]]:
+    """The tests of the GHZ-graph definition: (connected, degrees_divisible,
+    weight_nondivisible, failure_reasons).  The graph is GHZ exactly when no
+    test fails: for odd d, degrees divisible by d make 2W, and with it W,
+    divisible by d, so odd_modulus never fails alone.
+    """
     connected = is_connected(g)
-    degrees_divisible = all(dv % g.d == 0 for dv in degs)
-    weight_nondivisible = w % g.d != 0
-    ghz = connected and degrees_divisible and weight_nondivisible
+    degrees_divisible = bool((g.adj.sum(axis=0) % g.d == 0).all())
+    weight_nondivisible = total_weight(g) % g.d != 0
+    failed = {"odd_modulus": g.d % 2 == 1, "not_connected": not connected,
+              "degree_not_divisible": not degrees_divisible, "total_weight_divisible": not weight_nondivisible}
+    return connected, degrees_divisible, weight_nondivisible, tuple(k for k, bad in failed.items() if bad)
 
+
+def classify_ghz(g: WeightedGraph) -> GhzReport:
+    """The GHZ-graph tests, with the degrees, the total weight and the primality witnesses."""
+    connected, degrees_divisible, weight_nondivisible, reasons = _ghz_tests(g)
     witnesses = tuple(_coprime_pair(g.adj[v], g.d, v, strict=False) for v in range(g.n))
     strict_hits = tuple(_coprime_pair(g.adj[v], g.d, v, strict=True) for v in range(g.n))
-
-    reasons = []
-    if g.d % 2:
-        reasons.append("odd_modulus")
-    if not connected:
-        reasons.append("not_connected")
-    if not degrees_divisible:
-        reasons.append("degree_not_divisible")
-    if not weight_nondivisible:
-        reasons.append("total_weight_divisible")
-
     return GhzReport(
         connected=connected,
-        degrees=degs,
-        total_weight=w,
+        degrees=tuple(degree(g, v) for v in range(g.n)),
+        total_weight=total_weight(g),
         degrees_divisible=degrees_divisible,
         weight_nondivisible=weight_nondivisible,
-        is_ghz=ghz,
+        is_ghz=not reasons,
         is_primary=all(x is not None for x in witnesses),
         is_weakly_primary=any(x is not None for x in witnesses),
         strict_primary=all(x is not None for x in strict_hits),
         strict_weakly_primary=any(x is not None for x in strict_hits),
         primary_witnesses=witnesses,
-        failure_reasons=tuple(reasons),
+        failure_reasons=reasons,
     )
 
 
-def require_ghz(g: WeightedGraph, what: str) -> GhzReport:
-    """classify_ghz, raising NotGhzGraphError when ``what`` gets a non-GHZ graph."""
-    rep = classify_ghz(g)
-    if not rep.is_ghz:
-        raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
-    return rep
+def require_ghz(g: WeightedGraph, what: str) -> None:
+    """Raise NotGhzGraphError when ``what`` gets a graph that fails the GHZ test.
+
+    Only the definition is tested; the primality witnesses of ``classify_ghz``
+    are not computed.
+    """
+    reasons = _ghz_tests(g)[3]
+    if reasons:
+        raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(reasons)}")
 
 
 def _vertex_subset(g: WeightedGraph, vertices) -> list[int]:

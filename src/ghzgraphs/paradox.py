@@ -17,7 +17,7 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max, search_size
 from .defaults import SEARCH_CAP
-from .errors import InvariantError, NotGhzGraphError
+from .errors import InvariantError
 from .graphs import WeightedGraph, _vertex_subset, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
 
@@ -111,9 +111,7 @@ def subgraph_paradox(g: WeightedGraph, vertices) -> ParadoxSystem:
     because the induced degrees are divisible by d.
     """
     vs = _vertex_subset(g, vertices)
-    rep = classify_ghz(subgraph(g, vs))
-    if not rep.is_ghz:
-        raise NotGhzGraphError(f"induced subgraph on {vs} is not a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
+    require_ghz(subgraph(g, vs), f"subgraph paradox on {vs}")
     return _paradox_rows(g, vs)
 
 
@@ -228,7 +226,8 @@ class Genuineness:
 def genuineness(g: WeightedGraph) -> Genuineness:
     """Party-irreducibility follows from connectivity; level-irreducibility
     from the (weak) coprimality structure of the incident weights."""
-    rep = require_ghz(g, "genuineness")
+    require_ghz(g, "genuineness")
+    rep = classify_ghz(g)
     if rep.is_primary:
         level = "full"
     elif rep.is_weakly_primary:

@@ -45,9 +45,9 @@ class PauliWord:
         return cls(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
     @classmethod
-    def single_x(cls, d: int, n: int, v: int, exponent: int = 1) -> "PauliWord":
+    def single_x(cls, d: int, n: int, v: int) -> "PauliWord":
         x = np.zeros(n, dtype=np.int64)
-        x[v] = exponent
+        x[v] = 1
         return cls(d, x, np.zeros(n, dtype=np.int64))
 
     @classmethod
@@ -57,9 +57,9 @@ class PauliWord:
         return cls(d, np.zeros(n, dtype=np.int64), z)
 
     @classmethod
-    def all_x(cls, d: int, n: int, exponent: int = 1) -> "PauliWord":
-        """The collective shift X_V^exponent."""
-        return cls(d, np.full(n, exponent, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    def all_x(cls, d: int, n: int) -> "PauliWord":
+        """The collective shift X_V."""
+        return cls(d, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
     def is_identity(self) -> bool:
         return self.phase_exp == 0 and not self.x_exp.any() and not self.z_exp.any()

@@ -114,8 +114,8 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     exponents D_v; (c) the word X_V prod_v Z_v^{D_v mod d} acts as the
     uniform phase omega^{-W}, the global flip exactly when g is GHZ.
     """
-    rep = classify_ghz(g)
     psi = build_state(g)
+    rep = classify_ghz(g)
     d, n = g.d, g.n
 
     vertex_exps = tuple(eigenvalue_of(vertex_stabilizer(g, v), psi) for v in range(n))

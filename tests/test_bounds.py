@@ -254,6 +254,16 @@ class TestKsBounds:
         assert report.classical_bound == pytest.approx(3.0, abs=1e-9)
         assert report.oracle_agreement is True
 
+    def test_direct_space_over_cap_is_written_as_a_power(self):
+        # an odd cycle of weights 2^19 at d = 2^20 is GHZ; d^(3n+1) has 4323 digits,
+        # more than Python 3.11 turns into a string
+        n, d = 239, 2**20
+        g = WeightedGraph.from_edges(d, n, [(v, (v + 1) % n, 2**19) for v in range(n)])
+        report = ks_classical_max(g)
+        assert report.notes["direct_space"] == "1048576^718"
+        assert report.oracle_agreement is None
+        assert "'direct_space': '1048576^718'" in repr(report)
+
     def test_k4_d4_closed_form(self):
         report = ks_classical_max(k4(4, 1, 1, 0), cap=10**5)  # direct scan skipped
         assert report.classical_bound == pytest.approx(4.0, abs=1e-9)

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from ghzgraphs import graphs
+from ghzgraphs.bounds import bell_quantum, ks_classical_max, ks_quantum
 from ghzgraphs.errors import CapExceededError, GraphFormatError
 from ghzgraphs.graphs import (
     WeightedGraph,
@@ -23,11 +25,13 @@ from ghzgraphs.graphs import (
     k4,
     load_graph,
     odd_loop,
+    require_ghz,
     save_graph,
     subgraph,
     total_weight,
     triangle,
 )
+from ghzgraphs.paradox import constraint_system, genuineness, mermin_table, subgraph_paradox
 
 
 def brute_ghz_scan(n, d):
@@ -113,6 +117,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             WeightedGraph(1, [[0]])  # modulus too small
 
+    def test_weights_that_could_wrap_int64_sums_refused(self):
+        cycle = [(v, (v + 1) % 5, 2**61) for v in range(5)]
+        with pytest.raises(ValueError, match="n\\^2 times the largest weight must be below 2\\^63"):
+            WeightedGraph.from_edges(2**62, 5, cycle)  # total weight 5 * 2^61 wraps int64
+        # the bound reads the stored weights, so a wide modulus alone is accepted
+        g = WeightedGraph.from_edges(2**62, 5, [(0, 1, 2**58)])
+        assert total_weight(g) == degree(g, 0) == 2**58
+
 
 class TestClassification:
     def test_triangle_d2_primary(self):
@@ -176,6 +188,27 @@ class TestClassification:
             a = np.triu(rng.integers(0, d, size=(n, n)), 1)
             rep = classify_ghz(WeightedGraph(d, a + a.T))
             assert rep.is_ghz == (rep.connected and rep.degrees_divisible and rep.weight_nondivisible)
+
+
+class TestGhzGate:
+    """GHZ preconditions test the definition only; the primality witnesses
+    (``_coprime_pair``) are computed by classify_ghz alone."""
+
+    def test_gated_calls_do_not_compute_primality(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("primality witnesses computed")
+        monkeypatch.setattr(graphs, "_coprime_pair", refuse)
+        g = k4(4, 1, 1, 0)
+        constraint_system(g)
+        mermin_table(g)
+        subgraph_paradox(g, range(4))
+        bell_quantum(g)
+        ks_classical_max(g, cap=10**5)  # direct scan skipped
+        ks_quantum(g)
+        assert require_ghz(g, "gate") is None
+        for needs_witnesses in (classify_ghz, genuineness):
+            with pytest.raises(AssertionError, match="primality witnesses computed"):
+                needs_witnesses(g)
 
 
 class TestSubgraphs:

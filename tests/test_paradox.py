@@ -7,7 +7,7 @@ import pytest
 
 from ghzgraphs import _search, paradox
 from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
-from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
+from ghzgraphs.graphs import WeightedGraph, classify_ghz, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.paradox import (
     InfeasibilityCertificate,
     ParadoxSystem,
@@ -195,6 +195,19 @@ class TestGenuineness:
         with pytest.raises(NotGhzGraphError):
             genuineness(WeightedGraph.from_edges(2, 3, [(0, 1, 1), (1, 2, 1)]))
 
+    def test_weak_without_a_strict_pair(self):
+        # at d = 28 vertices 0..3 each see the weights 18, 18, 27, 21: 18 and
+        # 27 form an operative pair (gcd(18, 27, 28) = 1) but share 9 over the
+        # integers, and every other pair shares 3 or 18; vertex 4 sees 21 four
+        # times, with gcd(21, 28) = 7, so it has no operative pair
+        g = WeightedGraph.from_edges(28, 5, [
+            (0, 1, 18), (0, 2, 18), (0, 3, 27), (0, 4, 21), (1, 2, 27),
+            (1, 3, 18), (1, 4, 21), (2, 3, 18), (2, 4, 21), (3, 4, 21)])
+        rep = classify_ghz(g)
+        assert rep.is_ghz and rep.degrees == (84,) * 5 and rep.total_weight == 210
+        assert (rep.is_primary, rep.is_weakly_primary, rep.strict_weakly_primary) == (False, True, False)
+        assert genuineness(g) == paradox.Genuineness(n_partite=True, d_level="weak")
+
 
 class TestSubgraphParadox:
     def test_complete4_triangle_subsets(self):
@@ -224,8 +237,10 @@ class TestSubgraphParadox:
 
     def test_non_ghz_subset_rejected(self):
         g = odd_loop(5)
-        with pytest.raises(NotGhzGraphError):
-            subgraph_paradox(g, [0, 1, 2])  # path, not a loop
+        message = (r"^subgraph paradox on \[0, 1, 2\] needs a GHZ graph; "
+                   "failed: degree_not_divisible, total_weight_divisible$")
+        with pytest.raises(NotGhzGraphError, match=message):
+            subgraph_paradox(g, [2, 0, 1])  # path, not a loop
 
     def test_loop_inside_larger_loop(self):
         # embed a 5-loop as vertices 0..4 of a 7-vertex graph with one extra

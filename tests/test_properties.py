@@ -14,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ghzgraphs._search import BLOCK, CHUNK, scan_max  # noqa: E402
 from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
+from ghzgraphs.errors import NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
     _coprime_pair,
@@ -25,6 +26,7 @@ from ghzgraphs.graphs import (  # noqa: E402
     is_connected,
     k4,
     odd_loop,
+    require_ghz,
     subgraph,
     triangle,
 )
@@ -236,6 +238,19 @@ def test_classification_is_invariant_under_relabelling(g, data):
         assert getattr(moved, name) == getattr(rep, name), name
     assert moved.degrees == tuple(rep.degrees[p] for p in perm)
     assert [w is None for w in moved.primary_witnesses] == [rep.primary_witnesses[p] is None for p in perm]
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_require_ghz_raises_exactly_for_non_ghz_graphs(g):
+    rep = classify_ghz(g)
+    if rep.is_ghz:
+        require_ghz(g, "gate")
+    else:
+        with pytest.raises(NotGhzGraphError) as err:
+            require_ghz(g, "gate")
+        assert str(err.value) == f"gate needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}"
+    assert rep.is_ghz == (not rep.failure_reasons)
 
 
 @PROPERTY

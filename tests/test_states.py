@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_graph_state, dense_word
+from ghzgraphs import states
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.pauli import PauliWord, multiply, to_matrix, vertex_stabilizer
@@ -153,6 +154,13 @@ class TestVerifyStabilizers:
             assert rep.vertex_check
             assert rep.product_word_check
             assert rep.flip_check
+
+    def test_state_cap_refused_before_classifying(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("classified before the state cap")
+        monkeypatch.setattr(states, "classify_ghz", refuse)
+        with pytest.raises(CapExceededError):
+            verify_stabilizers(odd_loop(25))  # 2^25 > STATE_CAP
 
     def test_enumerated_ghz_graphs_all_pass(self):
         for n, d in [(3, 2), (3, 4), (4, 4)]:
