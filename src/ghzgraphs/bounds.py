@@ -378,7 +378,7 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
         ("shift_row", [dagger(coll)] + [PauliWord.single_x(d, n, v) for v in range(n)], 0)]
     for v in range(n):
         local = [PauliWord.single_x(d, n, v)] + [PauliWord.single_z(d, n, u, int(g.adj[u, v]))
-                                                 for u in range(n) if g.adj[u, v]]
+                                                 for u in np.flatnonzero(g.adj[:, v]).tolist()]
         rows.append((f"stabilizer_row_{v}", [dagger(stabs[v])] + local, 0))
     rows.append(("product_row", [dagger(coll)] + stabs, d // 2))
 

@@ -140,17 +140,18 @@ class GhzReport:
 def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] | None:
     """First pair b < c (both != skip) with gcd(w_b, w_c) == 1 if strict, else gcd(w_b, w_c, d) == 1.
 
-    Only each weight's key (w, or gcd(w, d)) matters, and a key with no coprime
-    partner after one vertex has none after a later one: each key is scanned once.
+    Only each weight's key (w, or gcd(w, d)) matters, and a key with no coprime partner after
+    one vertex has none after a later one: each key is tried once, at its first vertex.
     """
-    keys = weights.tolist() if strict else [math.gcd(w, d) for w in weights.tolist()]
-    exhausted = set()
-    for b, kb in enumerate(keys):
-        if b != skip and kb not in exhausted:
-            for c in range(b + 1, len(keys)):
-                if c != skip and math.gcd(kb, keys[c]) == 1:
-                    return b, c
-            exhausted.add(kb)
+    keys = weights if strict else np.gcd(weights, d)
+    others = np.arange(len(keys)) != skip
+    untried = others.copy()
+    while untried.any():
+        b = int(np.argmax(untried))
+        hits = np.flatnonzero(others[b + 1:] & (np.gcd(keys[b + 1:], keys[b]) == 1))
+        if hits.size:
+            return b, b + 1 + int(hits[0])
+        untried &= keys != keys[b]
     return None
 
 
@@ -175,7 +176,7 @@ def classify_ghz(g: WeightedGraph) -> GhzReport:
     strict_hits = tuple(_coprime_pair(g.adj[v], g.d, v, strict=True) for v in range(g.n))
     return GhzReport(
         connected=connected,
-        degrees=tuple(degree(g, v) for v in range(g.n)),
+        degrees=tuple(g.adj.sum(axis=0).tolist()),
         total_weight=total_weight(g),
         degrees_divisible=degrees_divisible,
         weight_nondivisible=weight_nondivisible,

@@ -19,7 +19,7 @@ from ._search import scan_max, search_size
 from .defaults import SEARCH_CAP
 from .errors import InvariantError
 from .graphs import WeightedGraph, _vertex_subset, classify_ghz, require_ghz, subgraph
-from .pauli import PauliWord, commutation_phase, dagger, render_word, vertex_stabilizer
+from .pauli import PauliWord, dagger, render_word, vertex_stabilizer
 
 
 class ParadoxSystem:
@@ -189,7 +189,7 @@ class MerminTable:
     def render(self) -> str:
         """Aligned text block, one operator row per line."""
         token_rows = [row.text.split(" ") for row in self.rows]
-        widths = [max(len(tr[j]) for tr in token_rows) for j in range(self.n)]
+        widths = [max(map(len, column)) for column in zip(*token_rows)]
         lines = []
         for row, toks in zip(self.rows, token_rows):
             value = "+1" if row.expected_value == 1 else "-1"
@@ -207,11 +207,14 @@ def mermin_table(g: WeightedGraph) -> MerminTable:
         rows.append(MerminRow(label=f"g_{v}", text=render_word(word), expected_value=1, word=word))
     flip = dagger(PauliWord.all_x(g.d, g.n))
     rows.append(MerminRow(label="X_V^†", text=render_word(flip, dagger_x=True), expected_value=-1, word=flip))
-    for i, first in enumerate(rows):
-        for second in rows[i + 1:]:
-            c = commutation_phase(first.word, second.word)
-            if c:
-                raise InvariantError(f"table rows {first.label} and {second.label} fail to commute (phase {c})")
+    # column j starts as z_i.x_j over the X support of row j, exact while n (d-1)^2 < 2^63; phases is
+    # antisymmetric, so its first row-major nonzero is the first pair i < j that fails to commute
+    z = np.array([row.word.z_exp for row in rows])
+    phases = np.stack([z[:, x != 0] @ x[x != 0] for x in (row.word.x_exp for row in rows)], axis=1)
+    phases -= phases.T
+    phases %= g.d
+    for i, j in np.argwhere(phases)[:1]:
+        raise InvariantError(f"table rows {rows[i].label} and {rows[j].label} fail to commute (phase {phases[i, j]})")
     return MerminTable(g.d, g.n, tuple(rows))
 
 

@@ -202,9 +202,7 @@ def render_word(w: PauliWord, dagger_x: bool = False) -> str:
     of a paradox table); identity sites print as Z^0 to keep columns aligned.
     """
     tokens = []
-    for v in range(w.n):
-        x = int(w.x_exp[v])
-        z = int(w.z_exp[v])
+    for x, z in zip(w.x_exp.tolist(), w.z_exp.tolist()):
         part = ""
         if x:
             if dagger_x and w.d > 2 and x == w.d - 1:

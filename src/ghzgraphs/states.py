@@ -14,7 +14,7 @@ import numpy as np
 
 from ._search import counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
-from .graphs import WeightedGraph, classify_ghz
+from .graphs import WeightedGraph, _ghz_tests, total_weight
 from .pauli import PauliWord, _axis_range, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
 
 
@@ -57,12 +57,8 @@ def build_state(g: WeightedGraph) -> PhaseState:
     """Graph state of g: exponent e(s) = sum_{u<v} adj[u][v] s_u s_v mod d."""
     search_size("state", g.d, g.n, STATE_CAP)
     e = np.zeros((g.d,) * g.n, dtype=np.int64)
-    for u in range(g.n):
-        su = _axis_range(g.d, g.n, u)
-        for v in range(u + 1, g.n):
-            w = int(g.adj[u, v])
-            if w:
-                e = e + w * su * _axis_range(g.d, g.n, v)
+    for u, v, w in g.edges():
+        e = e + w * _axis_range(g.d, g.n, u) * _axis_range(g.d, g.n, v)
     return PhaseState(g.d, g.n, e)
 
 
@@ -115,20 +111,20 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     uniform phase omega^{-W}, the global flip exactly when g is GHZ.
     """
     psi = build_state(g)
-    rep = classify_ghz(g)
     d, n = g.d, g.n
+    degrees, weight = g.adj.sum(axis=0), total_weight(g)
 
     vertex_exps = tuple(eigenvalue_of(vertex_stabilizer(g, v), psi) for v in range(n))
     vertex_check = all(e == 0 for e in vertex_exps)
 
-    expected_product = PauliWord(d, np.ones(n, dtype=np.int64), rep.degrees, rep.total_weight)
+    expected_product = PauliWord(d, np.ones(n, dtype=np.int64), degrees, weight)
     product_word_check = stabilizer_product(g, range(n)) == expected_product
 
-    flip_word = PauliWord(d, np.ones(n, dtype=np.int64), rep.degrees)
+    flip_word = PauliWord(d, np.ones(n, dtype=np.int64), degrees)
     flip_exponent = eigenvalue_of(flip_word, psi)
-    flip_expected = (-rep.total_weight) % d
+    flip_expected = (-weight) % d
     return StabilizerReport(
-        is_ghz=rep.is_ghz,
+        is_ghz=not _ghz_tests(g)[3],
         vertex_exponents=vertex_exps,
         vertex_check=vertex_check,
         product_word_check=product_word_check,

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 from functools import reduce
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ghzgraphs import paradox  # noqa: E402
 from ghzgraphs._search import BLOCK, CHUNK, scan_max  # noqa: E402
 from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
-from ghzgraphs.errors import NotGhzGraphError  # noqa: E402
+from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
     _coprime_pair,
@@ -33,10 +35,13 @@ from ghzgraphs.graphs import (  # noqa: E402
 from ghzgraphs.paradox import (  # noqa: E402
     check_infeasible_algebraic,
     check_infeasible_exhaustive,
+    mermin_table,
     subgraph_paradox,
 )
 from ghzgraphs.pauli import (  # noqa: E402
     PauliWord,
+    commutation_phase,
+    dagger,
     power,
     product_action,
     stabilizer_product,
@@ -195,6 +200,36 @@ def test_stabilizer_product_is_the_closed_form_word(g):
     assert np.array_equal(index, stab_index) and np.array_equal(phase, stab_phase)
 
 
+@PROPERTY
+@given(relabelled_ghz_graphs(), st.data())
+def test_mermin_check_matches_pair_loop(g, data):
+    # one row gets a stray word: random, a pure phase, or a power of a vertex
+    # stabilizer, which commutes with every row; the oracle is the pair loop
+    d, n = g.d, g.n
+    exponents = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    stray = data.draw(st.one_of(
+        st.builds(lambda x, z, p: PauliWord(d, x, z, p), exponents, exponents, st.integers(0, d - 1)),
+        st.builds(lambda p: PauliWord(d, [0] * n, [0] * n, p), st.integers(0, d - 1)),
+        st.builds(lambda u, k: power(vertex_stabilizer(g, u), k), st.integers(0, n - 1), st.integers(1, d - 1))))
+    target = data.draw(st.integers(0, n - 1))
+
+    def with_stray(h, v):
+        return vertex_stabilizer(h, v) * stray if v == target else vertex_stabilizer(h, v)
+
+    words = [with_stray(g, v) for v in range(n)] + [dagger(PauliWord.all_x(d, n))]
+    labels = [f"g_{v}" for v in range(n)] + ["X_V^†"]
+    phases = ((i, j, commutation_phase(words[i], words[j])) for i, j in itertools.combinations(range(n + 1), 2))
+    first = next(((i, j, c) for i, j, c in phases if c), None)
+    with patch.object(paradox, "vertex_stabilizer", with_stray):
+        if first is None:
+            assert [row.word for row in mermin_table(g).rows] == words
+        else:
+            i, j, c = first
+            with pytest.raises(InvariantError) as err:
+                mermin_table(g)
+            assert str(err.value) == f"table rows {labels[i]} and {labels[j]} fail to commute (phase {c})"
+
+
 @st.composite
 def planted_ghz_graphs(draw):
     """A pool graph planted as an induced subgraph among one or two extra
@@ -260,6 +295,33 @@ def test_require_ghz_raises_exactly_for_non_ghz_graphs(g):
 def test_coprime_pair_matches_pair_loop(case, data, strict):
     d, weights = case
     skip = data.draw(st.integers(0, len(weights) - 1))
+    row = np.array(weights, dtype=np.int64)
+    assert _coprime_pair(row, d, skip, strict) == pair_loop_coprime_pair(weights, d, skip, strict)
+
+
+@st.composite
+def long_rows(draw):
+    """(d, weights, skip): 13 to 80 weights below d <= 2^62, the skipped vertex
+    often first or last.  In a "shared factor" row d is even and every weight but
+    the odd last one is even, so the last entry is the only possible partner."""
+    n = draw(st.integers(13, 80))
+    d = draw(st.integers(2, 40) | st.integers(2, 2**62) | st.integers(2**61, 2**62))
+    skip = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    if draw(st.booleans()):
+        d += d % 2
+        evens = st.integers(0, d // 2 - 1).map(lambda h: 2 * h)
+        last = st.just(1) | st.integers(0, d // 2 - 1).map(lambda h: 2 * h + 1)
+        weights = draw(st.lists(evens, min_size=n - 1, max_size=n - 1)) + [draw(last)]
+    else:
+        entry = st.sampled_from([0, 1, d // 2, d - 1]) | st.integers(0, d - 1)
+        weights = draw(st.lists(entry, min_size=n, max_size=n))
+    return d, weights, skip
+
+
+@PROPERTY
+@given(long_rows(), st.booleans())
+def test_coprime_pair_matches_pair_loop_on_long_rows(case, strict):
+    d, weights, skip = case
     row = np.array(weights, dtype=np.int64)
     assert _coprime_pair(row, d, skip, strict) == pair_loop_coprime_pair(weights, d, skip, strict)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_graph_state, dense_word
-from ghzgraphs import states
+from ghzgraphs import graphs
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.pauli import PauliWord, multiply, to_matrix, vertex_stabilizer
@@ -156,11 +156,12 @@ class TestVerifyStabilizers:
             assert rep.flip_check
 
     def test_state_cap_refused_before_classifying(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("classified before the state cap")
-        monkeypatch.setattr(states, "classify_ghz", refuse)
+        def refuse(*args):
+            raise AssertionError("searched for primality witnesses")
+        monkeypatch.setattr(graphs, "_coprime_pair", refuse)
         with pytest.raises(CapExceededError):
             verify_stabilizers(odd_loop(25))  # 2^25 > STATE_CAP
+        assert verify_stabilizers(k4(4, 1, 1, 0)).all_pass
 
     def test_enumerated_ghz_graphs_all_pass(self):
         for n, d in [(3, 2), (3, 4), (4, 4)]:
