@@ -1,4 +1,5 @@
-"""Mixed-radix counters and the distinct-residue kernel behind the exhaustive searches."""
+"""Mixed-radix counters, the distinct-residue kernel behind the exhaustive searches, and the
+multiset search behind the lattice oracle."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 
 import numpy as np
 
+from .defaults import TOLERANCE
 from .errors import CapExceededError
 
 CHUNK = 1 << 18
@@ -159,6 +161,149 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     for digit, order in grown:
         j, digits[digit] = divmod(j, order)
     return best.item(), tuple(digits)
+
+
+def lattice_max(table, num_digits: int, base: int):
+    """Maximum over every counter value q of table[q_1] + ... + table[q_n] - table[(q_1 + ... + q_n) mod base].
+
+    Returns what scan_max returns for the n identity rows and the all-ones
+    row with tables [table] * n + [-table]: the float maximum, its terms
+    added from 0 in that row order, and the digits of the lowest counter
+    value attaining it.  The value is symmetric in the digits, so the
+    search runs over the C(n + base - 1, n) nondecreasing digit tuples
+    instead of the base^n counter values.  Pass 1 evaluates each tuple and
+    keeps those within TOLERANCE of the largest value seen so far.  Pass 2
+    visits every distinct arrangement of each kept tuple in lexicographic
+    order, which is counter order, and takes the largest value at the
+    lowest counter value.
+
+    This is exact for terms of magnitude at most 1, as cosines are: any
+    order of adding the n + 1 terms lands within (n + 1)^2 2^-53 of their
+    exact sum, so the sorted arrangement of the counter value attaining the
+    float maximum is within twice that of every value seen, far inside
+    TOLERANCE while n < 2000, and is kept.  The lowest counter value
+    attaining the float maximum need not be sorted, so pass 2 visits every
+    arrangement.  With one digit each tuple is its only arrangement and
+    pass 1 runs in counter order, so its first maximum is the answer.
+
+    Pass 1 holds the sorted (n-2)-digit tuples whole (10,660 at most
+    within SEARCH_CAP) and extends them by a digit to the (n-1)-digit
+    prefixes one block of rows at a time.  The last digit runs from the
+    prefix's last digit to base - 1, so a block reads it as slices of the
+    table and of the table written twice; no block holds more than CHUNK
+    values.  A block of prefixes with different last digits starts from
+    the lowest, so it also evaluates a few unsorted tuples: they are
+    counter values too, and pass 2 takes only the sorted ones.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    n, d = num_digits, base
+    if n == 1:
+        # each tuple is its only arrangement, and the blocks run in counter order
+        found = None
+        for c0 in range(0, d, CHUNK):
+            vals = (0.0 + table[c0:c0 + CHUNK]) - table[c0:c0 + CHUNK]
+            j = int(vals.argmax())
+            found = _better(found, (vals[j], (c0 + j,)))
+        return found[0].item(), found[1]
+    digits, partial, residues, ends = _sorted_tuples(n - 2, table, d)
+    bounds = np.cumsum(ends)
+    firsts = bounds - ends  # the prefixes ending in v are rows firsts[v] .. bounds[v] - 1
+    # row s reads the table from residue s on, wrapping
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([table, table]), d)
+    best = -np.inf
+    found = None
+    r0 = 0
+    while r0 < bounds[-1]:
+        lo = int(np.searchsorted(bounds, r0, side="right"))
+        rows = np.arange(r0, min(bounds[-1], r0 + max(1, CHUNK // (d - lo))))
+        last = np.searchsorted(bounds, rows, side="right")
+        parent = rows - firsts[last]
+        starts = partial[parent] + table[last]
+        sums = (residues[parent] + last) % d
+        for c0 in range(lo, d, CHUNK):
+            width = min(d - c0, CHUNK)
+            vals = starts[:, None] + table[c0:c0 + width]
+            vals -= windows[(sums + c0) % d, :width]
+            top = vals.max()
+            best = max(best, top)
+            if top >= best - TOLERANCE:
+                hit, cols = np.divmod(np.flatnonzero(vals >= best - TOLERANCE), width)
+                cols += c0
+                ordered = cols >= last[hit]
+                hit, cols = hit[ordered], cols[ordered]
+                tuples = np.column_stack([digits[parent[hit]], last[hit], cols])
+                found = _better(found, _arrangements_max(tuples, table, d))
+        r0 = rows[-1] + 1
+    return found[0].item(), found[1]
+
+
+def _sorted_tuples(length: int, table, base: int):
+    """Every nondecreasing digit tuple of the given length, grouped by last digit, ascending.
+
+    Returns the tuples, 0 + table[t_1] + ... + table[t_k] added in that
+    order, the digit sums mod base, and ends: the tuples ending at or below
+    v, which v extends, are the first ends[v].
+    """
+    digits = np.zeros((1, 0), dtype=np.int64)
+    vals = np.zeros(1)
+    sums = np.zeros(1, dtype=np.int64)
+    ends = np.ones(base, dtype=np.int64)
+    for _ in range(length):
+        last = np.repeat(np.arange(base), ends)
+        parent = np.arange(last.size) - np.repeat(np.cumsum(ends) - ends, ends)
+        digits = np.column_stack([digits[parent], last])
+        vals = vals[parent] + table[last]
+        sums = (sums[parent] + last) % base
+        ends = np.cumsum(ends)
+    return digits, vals, sums, ends
+
+
+def _arrangements_max(tuples, table, base: int):
+    """(maximum, lowest digits attaining it) over every arrangement of the given distinct nondecreasing tuples."""
+    total = tuples.sum(axis=1) % base
+    found = None
+    while len(tuples):
+        terms = table[tuples]
+        terms[:, 0] += 0.0  # the scan starts from 0, which turns a leading -0.0 into 0.0
+        vals = np.cumsum(terms, axis=1)[:, -1] - table[total]
+        top = vals.max()
+        if found is None or top >= found[0]:
+            ties = tuples[vals == top]
+            for j in range(tuples.shape[1]):
+                if len(ties) == 1:
+                    break
+                ties = ties[ties[:, j] == ties[:, j].min()]
+            found = _better(found, (top, tuple(ties[0].tolist())))
+        more = (tuples[:, :-1] < tuples[:, 1:]).any(axis=1)
+        tuples, total = tuples[more], total[more]
+        if len(tuples):
+            tuples = _next_arrangements(tuples)
+    return found
+
+
+def _next_arrangements(tuples) -> np.ndarray:
+    """The next arrangement of each row in lexicographic order; every row must have one.
+
+    The pivot is the last digit below its successor; it swaps with the last
+    digit above it, and the digits after it, then nonincreasing, reverse.
+    """
+    rows = np.arange(len(tuples))
+    n = tuples.shape[1]
+    pivot = n - 2 - (tuples[:, -2::-1] < tuples[:, :0:-1]).argmax(axis=1)
+    low = tuples[rows, pivot]
+    swap = n - 1 - (tuples[:, ::-1] > low[:, None]).argmax(axis=1)
+    tuples[rows, pivot] = tuples[rows, swap]
+    tuples[rows, swap] = low
+    k = np.arange(n)
+    order = np.where(k > pivot[:, None], pivot[:, None] + n - k, k)
+    return np.take_along_axis(tuples, order, axis=1)
+
+
+def _better(a, b):
+    """The larger of two (value, digits) results, the lower digits on a tie; None is neither."""
+    if a is None or (b is not None and (b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]))):
+        return b
+    return a
 
 
 def _translates(vecs, col, count: int, base: int) -> np.ndarray:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from ._search import scan_max, search_size
+from ._search import lattice_max, scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
@@ -237,16 +238,17 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
     """Exhaustive maximum of the cosine objective over the lattice.
 
     Exponent t stands for the angle 2 pi t / d; the witness is the lowest
-    exponent tuple in counter order attaining the maximum.  For even d the
-    closed form is attached as the oracle.
+    exponent tuple in counter order attaining the maximum.  The search runs
+    over sorted exponent tuples and their arrangements (_search.lattice_max)
+    and returns the maximum and witness of a scan of all d^n points.  For
+    even d the closed form is attached as the oracle.
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got (n={n}, d={d})")
     space = search_size("lattice scan", d, n, cap)
     theta = 2 * math.pi / d
     table = np.cos(theta * np.arange(d))
-    forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-    best, witness = scan_max(forms, [table] * n + [-table], d)
+    best, witness = lattice_max(table, n, d)
     closed = lattice_bound_closed(n, d) if d % 2 == 0 else None
     return BoundReport(
         kind="lattice_brute",
@@ -371,19 +373,33 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     require_ghz(g, "contextuality value")
     d, n = g.d, g.n
     coll = PauliWord.all_x(d, n)
-    stabs = [vertex_stabilizer(g, v) for v in range(n)]
 
-    # (name, factors of the row operator in product order, expected phase)
-    rows: list[tuple[str, list[PauliWord], int]] = [
-        ("shift_row", [dagger(coll)] + [PauliWord.single_x(d, n, v) for v in range(n)], 0)]
-    for v in range(n):
-        local = [PauliWord.single_x(d, n, v)] + [PauliWord.single_z(d, n, u, int(g.adj[u, v]))
-                                                 for u in np.flatnonzero(g.adj[:, v]).tolist()]
-        rows.append((f"stabilizer_row_{v}", [dagger(stabs[v])] + local, 0))
-    rows.append(("product_row", [dagger(coll)] + stabs, d // 2))
+    def rows():
+        """(name, factors of the row operator in product order, expected phase), one row at a time.
 
+        The long rows' factors are made as they are multiplied, so no more
+        than a few n-qudit words are alive at once.
+        """
+        yield "shift_row", chain([dagger(coll)], (PauliWord.single_x(d, n, v) for v in range(n))), 0
+        for v in range(n):
+            local = [PauliWord.single_x(d, n, v)] + [PauliWord.single_z(d, n, u, int(g.adj[u, v]))
+                                                     for u in np.flatnonzero(g.adj[:, v]).tolist()]
+            yield f"stabilizer_row_{v}", [dagger(vertex_stabilizer(g, v))] + local, 0
+        yield "product_row", chain([dagger(coll)], (vertex_stabilizer(g, v) for v in range(n))), d // 2
+
+    dim = d**n
+    dense = dim <= DENSE_CAP
+    delta = _flip_delta(d)
     word_checks = {}
-    for name, factors, expected_phase in rows:
+    total, exact = 0, True
+    for name, factors, expected_phase in rows():
+        if dense:
+            factors = list(factors)
+            index, phase = product_action(factors)
+            exact &= bool(np.array_equal(index, np.arange(dim)) and (phase == expected_phase).all())
+            # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
+            sign = -1 if name == "product_row" else 1
+            total += sign * int(delta[phase[0]])
         word = reduce(multiply, factors)
         word_checks[name] = (not word.x_exp.any() and not word.z_exp.any()
                              and word.phase_exp == expected_phase)
@@ -391,20 +407,8 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
         raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
 
     value = float(n + 2)
-    oracle_value = None
-    agreement = None
-    dim = d**n
-    if dim <= DENSE_CAP:
-        delta = _flip_delta(d)
-        total, exact = 0, True
-        for name, factors, expected_phase in rows:
-            index, phase = product_action(factors)
-            exact &= bool(np.array_equal(index, np.arange(dim)) and (phase == expected_phase).all())
-            # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
-            sign = -1 if name == "product_row" else 1
-            total += sign * int(delta[phase[0]])
-        oracle_value = float(total)
-        agreement = exact and oracle_value == value
+    oracle_value = float(total) if dense else None
+    agreement = exact and oracle_value == value if dense else None
     bound = lattice_bound_closed(n + 1, d)
     return BoundReport(
         kind="ks_quantum",

@@ -187,13 +187,19 @@ class MerminTable:
     rows: tuple[MerminRow, ...]
 
     def render(self) -> str:
-        """Aligned text block, one operator row per line."""
-        token_rows = [row.text.split(" ") for row in self.rows]
-        widths = [max(map(len, column)) for column in zip(*token_rows)]
+        """Aligned text block, one operator row per line.
+
+        Each row is split into its tokens twice, once for the column widths
+        and once for its line, so only one row's tokens are alive at a time.
+        """
+        widths = None
+        for row in self.rows:
+            lengths = map(len, row.text.split(" "))
+            widths = list(lengths if widths is None else map(max, widths, lengths))
         lines = []
-        for row, toks in zip(self.rows, token_rows):
+        for row in self.rows:
             value = "+1" if row.expected_value == 1 else "-1"
-            lines.append("  ".join(tok.ljust(w) for tok, w in zip(toks, widths)) + "  " + value)
+            lines.append("  ".join(tok.ljust(w) for tok, w in zip(row.text.split(" "), widths)) + "  " + value)
         return "\n".join(lines)
 
 

@@ -13,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ghzgraphs import paradox  # noqa: E402
-from ghzgraphs._search import BLOCK, CHUNK, scan_max  # noqa: E402
+from ghzgraphs import _search, paradox  # noqa: E402
+from ghzgraphs._search import BLOCK, CHUNK, lattice_max, scan_max  # noqa: E402
 from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
 from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
@@ -484,3 +484,27 @@ def test_scan_max_does_not_depend_on_the_block_size(case):
         got = scan_max(forms, tables, base, chunk=chunk)
         assert got == want
         assert repr(got) == repr(want)
+
+
+@st.composite
+def lattice_cases(draw):
+    """Tables of magnitude at most 1 with repeated entries, signed zeros and
+    sums that round differently in different orders, over up to 7^5 counter
+    values, with any block size."""
+    base = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 0.7, -1.0, 1.0])
+    table = np.array([draw(entry) for _ in range(base)])
+    chunk = draw(st.integers(1, 40) | st.just(CHUNK))
+    return table, n, base, chunk
+
+
+@settings(PROPERTY, max_examples=150)
+@given(lattice_cases())
+def test_lattice_max_matches_scan(case):
+    table, n, base, chunk = case
+    forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    want = scan_max(forms, [table] * n + [-table], base)
+    with patch.object(_search, "CHUNK", chunk):
+        got = lattice_max(table, n, base)
+    assert repr(got) == repr(want)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzgraphs import bounds, paradox
+from ghzgraphs import _search, bounds, paradox
 from ghzgraphs._search import BLOCK, CHUNK, counter_digits, digit_chunks, scan_max, search_size
 from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_brute
 from ghzgraphs.errors import CapExceededError
@@ -28,6 +28,13 @@ def loop_scan_max(forms, tables, base):
         if best is None or value > best:
             best, witness = value, digits
     return best.item(), witness
+
+
+def lattice_scan_case(n, d):
+    """The forms and tables of the cosine objective over the lattice, as scan_max reads them."""
+    table = np.cos(2 * np.pi / d * np.arange(d))
+    forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
+    return forms, [table] * n + [-table]
 
 
 def random_case(seed, rows, num_digits, base, floats):
@@ -189,9 +196,7 @@ class TestDistinctResidues:
     def test_lattice_scan_past_one_block(self, n, d):
         # 12^6 and 8^7 distinct residue vectors: blocks of 2^10, BLOCK and
         # 2^16 entries against a CHUNK list of 12^5 or 8^6 vectors
-        table = np.cos(2 * np.pi / d * np.arange(d))
-        forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-        tables = [table] * n + [-table]
+        forms, tables = lattice_scan_case(n, d)
         want = repr(scan_max(forms, tables, d, chunk=CHUNK))
         for chunk in (2**10, BLOCK, 2**16):
             assert repr(scan_max(forms, tables, d, chunk=chunk)) == want
@@ -199,10 +204,11 @@ class TestDistinctResidues:
     def test_lattice_blocks_stay_small(self):
         # the 12^6 lattice scan lists 12^4 residue vectors per block at the
         # default BLOCK; at CHUNK it held seven rows of 12^5 (28.5 MB peak)
-        lattice_bound_brute(2, 4)
+        forms, tables = lattice_scan_case(6, 12)
+        scan_max(*lattice_scan_case(2, 4), 4)
         tracemalloc.start()
         try:
-            lattice_bound_brute(6, 12)
+            scan_max(forms, tables, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,6 +228,55 @@ class TestDistinctResidues:
             tracemalloc.stop()
         assert result == (2.0, (123456,))
         assert peak < 8 * 2 * chunk * 8
+
+
+class TestLatticeMax:
+    """The multiset search behind lattice_bound_brute against the full lattice scan."""
+
+    SHAPES = [(n, d) for d in range(2, 17) for n in range(1, 18) if d**n <= 2 * 10**5]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_matches_the_scan(self, n, d):
+        rep = lattice_bound_brute(n, d)
+        want = scan_max(*lattice_scan_case(n, d), d)
+        assert repr((rep.classical_bound, tuple(rep.witness["exponents"]))) == repr(want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    @pytest.mark.parametrize("n,d", [(1, 9), (2, 10), (3, 7), (4, 6), (5, 4)])
+    def test_does_not_depend_on_the_block_size(self, n, d, chunk, monkeypatch):
+        # blocks of one prefix row, and rows split into column blocks
+        want = repr(scan_max(*lattice_scan_case(n, d), d))
+        monkeypatch.setattr(_search, "CHUNK", chunk)
+        rep = lattice_bound_brute(n, d)
+        assert repr((rep.classical_bound, tuple(rep.witness["exponents"]))) == want
+
+    def test_leading_negative_zeros_start_from_zero(self):
+        # 0 + (-0.0) + (-0.0) - 0.0 at (1, 1) is 0.0, as at (0, 0); added from -0.0 it would be -0.0
+        assert repr(_search.lattice_max(np.array([0.0, -0.0]), 2, 2)) == "(0.0, (0, 0))"
+
+    def test_unsorted_witness(self):
+        # the sorted arrangement [0, 1, 1, 1] of the same multiset adds up to 3.5
+        rep = lattice_bound_brute(4, 6)
+        assert repr(rep.classical_bound) == "3.5000000000000004"
+        assert rep.witness["exponents"] == [1, 1, 1, 0]
+
+    def test_lowest_of_many_ties(self):
+        # 169 counter values attain exactly 11.0
+        rep = lattice_bound_brute(12, 4)
+        assert repr(rep.classical_bound) == "11.0"
+        assert rep.witness["exponents"] == [0] * 12
+        assert rep.notes == {"searched": 4**12}
+
+    def test_blocks_stay_within_rows_times_chunk(self):
+        # (2, 2000): 2,001,000 sorted tuples, 3 rows
+        lattice_bound_brute(2, 4)
+        tracemalloc.start()
+        try:
+            lattice_bound_brute(2, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * CHUNK * 8
 
 
 class TestPinnedScans:
