@@ -278,9 +278,9 @@ class SweepResult:
     max_value: float
 
 
-def lattice_bound_sweep(n: int, d: int) -> SweepResult:
-    """Maximize the objective over vectors mixing the floor and ceiling
-    lattice angles around lam = d / (2 (n+1))."""
+def _sweep_values(n: int, d: int):
+    """``lattice_bound_sweep``'s values[m] for m = 0..n, lazily: the same float
+    expressions, so their maximum needs no O(n) memory."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if d < 2 or d % 2:
@@ -289,9 +289,16 @@ def lattice_bound_sweep(n: int, d: int) -> SweepResult:
     lam = d / (2 * (n + 1))
     x_lo = math.floor(lam) * theta
     x_hi = math.ceil(lam) * theta
-    values = tuple(
-        m * math.cos(x_hi) + (n - m) * math.cos(x_lo) - math.cos(m * x_hi + (n - m) * x_lo)
-        for m in range(n + 1))
+    return (m * math.cos(x_hi) + (n - m) * math.cos(x_lo) - math.cos(m * x_hi + (n - m) * x_lo)
+            for m in range(n + 1))
+
+
+def lattice_bound_sweep(n: int, d: int) -> SweepResult:
+    """Maximize the objective over vectors mixing the floor and ceiling
+    lattice angles around lam = d / (2 (n+1))."""
+    values = tuple(_sweep_values(n, d))
+    theta = 2 * math.pi / d
+    lam = d / (2 * (n + 1))
     denom = 2 * math.sin(theta / 2)
     diffs = tuple((values[m + 1] - values[m]) / denom for m in range(n))
     peak_index = d // 2 - (n + 1) * math.floor(lam)

@@ -186,18 +186,18 @@ def cmd_ks(args) -> int:
 
 def cmd_lemma(args) -> int:
     closed = bounds.lattice_bound_closed(args.n, args.d)
-    sweep = bounds.lattice_bound_sweep(args.n, args.d)
+    sweep_max = max(bounds._sweep_values(args.n, args.d))
     brute = bounds.BoundReport(kind="lattice_brute")  # over cap: no maximum, witness or check
     with contextlib.suppress(CapExceededError):
         brute = bounds.lattice_bound_brute(args.n, args.d, cap=args.cap)
     # a sweep off the closed form fails the command even when the scan is skipped
-    agreement = abs(sweep.max_value - closed) <= TOLERANCE and brute.oracle_agreement
+    agreement = abs(sweep_max - closed) <= TOLERANCE and brute.oracle_agreement
     doc = {
         "kind": "lemma",
         "n": args.n,
         "d": args.d,
         "closed_form": closed,
-        "sweep_max": sweep.max_value,
+        "sweep_max": sweep_max,
         "brute_max": brute.classical_bound,
         "witness": brute.witness,
         "agreement": _agreement("agreement", agreement),

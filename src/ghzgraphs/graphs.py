@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import CHUNK, digit_chunks, search_size
+from ._search import BLOCK, digit_chunks, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, SUBSET_CAP
 from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 
@@ -141,10 +141,14 @@ def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] |
     """First pair b < c (both != skip) with gcd(w_b, w_c) == 1 if strict, else gcd(w_b, w_c, d) == 1.
 
     Only each weight's key (w, or gcd(w, d)) matters, and a key with no coprime partner after
-    one vertex has none after a later one: each key is tried once, at its first vertex.
+    one vertex has none after a later one: each key is tried once, at its first vertex.  Keys
+    whose gcd exceeds 1 are refused at once; rows such as {6a, 10b, 15c}, with no coprime pair
+    and a gcd of 1, still try every key.
     """
     keys = weights if strict else np.gcd(weights, d)
     others = np.arange(len(keys)) != skip
+    if np.gcd.reduce(keys[others]) > 1:  # every key shares a prime, so no pair is coprime
+        return None
     untried = others.copy()
     while untried.any():
         b = int(np.argmax(untried))
@@ -247,7 +251,7 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
     visits sum_k C(n, k) subsets and is refused before it starts when that
     exceeds ``SUBSET_CAP``.  The subsets of one size are tested by
     ``_ghz_blocks`` as (k, k, c) stacks of their induced adjacency blocks,
-    each stack at most ``CHUNK`` entries (one block when a block is larger),
+    each stack at most ``BLOCK`` entries (one block when a block is larger),
     with the answer ``classify_ghz(subgraph(g, vs)).is_ghz`` gives.
     """
     if max_size is None:
@@ -261,7 +265,7 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
     found = []
     for k in range(min_size, max_size + 1):
         subsets = itertools.combinations(range(g.n), k)
-        batch = max(1, CHUNK // (k * k))
+        batch = max(1, BLOCK // (k * k))
         while chunk := list(itertools.islice(subsets, batch)):
             combos = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, k)
             ok = _ghz_blocks(g.adj[combos.T[:, None, :], combos.T[None, :, :]], g.d)
@@ -312,6 +316,37 @@ def canonical_code(g: WeightedGraph) -> tuple[int, ...]:
     return tuple(codes[0].tolist())
 
 
+def _swap_tables(n: int) -> np.ndarray:
+    """Slot permutations of the C(n,2) vertex transpositions, shape (C(n,2), n(n-1)/2).
+
+    Row t belongs to the t-th vertex pair (a, b) in edge-slot order: code[row] is
+    the code of the graph with a and b swapped.
+    """
+    us, vs = np.triu_indices(n, 1)
+    pair = np.arange(us.size)
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[us, vs] = slot[vs, us] = pair
+    perms = np.tile(np.arange(n), (us.size, 1))
+    perms[pair, us], perms[pair, vs] = vs, us
+    return slot[perms[:, us], perms[:, vs]]
+
+
+def _drop_swap_beaten(codes: np.ndarray, swaps: np.ndarray) -> np.ndarray:
+    """The columns of an (m, h) array of edge-slot codes that no transposition in
+    ``swaps`` (from ``_swap_tables``) makes lexicographically smaller, in order.
+
+    A canonical code is the minimum over every relabelling, so it always stays.
+    Each swap compares a code with its image at the first slot where they differ.
+    """
+    for swap in swaps:
+        if not codes.shape[1]:
+            break
+        diff = codes[swap] - codes
+        first = (diff != 0).argmax(axis=0)
+        codes = codes[:, diff[first, np.arange(codes.shape[1])] >= 0]
+    return codes
+
+
 def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: int = SEARCH_CAP):
     """Yield every connected GHZ graph on n labeled vertices.
 
@@ -319,7 +354,10 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
     (0,1),(0,2),...,(n-2,n-1).  With dedup_isomorphism only the
     encoding-minimal member of each isomorphism class is yielded.  Each block
     of counter values is tested by ``_ghz_blocks`` as an (n, n, c) stack of
-    at most ``CHUNK`` entries, and only the graphs that pass are built.
+    at most ``BLOCK`` entries, and only the graphs that pass are built.  With
+    dedup_isomorphism the hits of a stack that some vertex transposition
+    lowers are dropped first (``_drop_swap_beaten``), and only the rest are
+    built and checked against ``canonical_code``.
     """
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got (n={n}, d={d})")
@@ -328,10 +366,14 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
     if dedup_isomorphism and n > ISO_DEDUP_MAX_VERTICES:
         raise ValueError(f"isomorphism dedup limited to n <= {ISO_DEDUP_MAX_VERTICES}")
     us, vs = np.triu_indices(n, 1)
-    for _, digits in digit_chunks(m, d, max(1, CHUNK // (n * n))):
+    swaps = _swap_tables(n)
+    for _, digits in digit_chunks(m, d, max(1, BLOCK // (n * n))):
         blocks = np.zeros((n, n, digits.shape[1]), dtype=np.int64)
         blocks[us, vs] = blocks[vs, us] = digits
-        for code in digits[:, _ghz_blocks(blocks, d)].T:
+        hits = digits[:, _ghz_blocks(blocks, d)]
+        if dedup_isomorphism:
+            hits = _drop_swap_beaten(hits, swaps)
+        for code in hits.T:
             g = graph_from_code(n, d, code)
             if not dedup_isomorphism or tuple(code.tolist()) == canonical_code(g):
                 yield g

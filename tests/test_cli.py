@@ -366,10 +366,10 @@ class TestInvariantFailure:
         (("ks", "GRAPH"), bounds, "product_action",
          lambda real: lambda words: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)),
          "quantum_oracle_agreement"),
-        (("lemma", "3", "8"), bounds, "lattice_bound_sweep",
-         lambda real: lambda n, d: dataclasses.replace(real(n, d), max_value=0.0), "agreement"),
-        (("lemma", "6", "12", "--cap", "1000"), bounds, "lattice_bound_sweep",
-         lambda real: lambda n, d: dataclasses.replace(real(n, d), max_value=0.0), "agreement"),
+        (("lemma", "3", "8"), bounds, "_sweep_values",
+         lambda real: lambda n, d: (0.0 * v for v in real(n, d)), "agreement"),
+        (("lemma", "6", "12", "--cap", "1000"), bounds, "_sweep_values",
+         lambda real: lambda n, d: (0.0 * v for v in real(n, d)), "agreement"),
         (("lemma", "3", "8"), bounds, "lattice_bound_closed",
          lambda real: lambda n, d: real(n, d) + 1e-6, "agreement"),
         (("paradox", "GRAPH"), paradox, "check_infeasible_exhaustive",

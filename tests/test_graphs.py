@@ -168,6 +168,19 @@ class TestClassification:
         assert not rep.strict_primary
         assert rep.strict_weakly_primary
 
+    def test_rows_sharing_a_prime_are_refused_by_their_gcd(self):
+        # 32640 distinct even weights: every row's keys share the prime 2, which one gcd
+        # shows; trying key by key, each row of 255 distinct keys took O(n^2) gcds
+        n = 256
+        us, vs = np.triu_indices(n, 1)
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[us, vs] = adj[vs, us] = 2 * np.arange(1, us.size + 1)
+        start = time.perf_counter()
+        rep = classify_ghz(WeightedGraph(2**21, adj))
+        assert time.perf_counter() - start < 0.5
+        assert not rep.is_weakly_primary and not rep.strict_weakly_primary
+        assert rep.primary_witnesses == (None,) * n
+
     def test_odd_modulus_reason(self):
         g = WeightedGraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         rep = classify_ghz(g)
@@ -306,7 +319,7 @@ class TestEnumeration:
         assert len(found) > 0
 
     def test_five_vertices_d4_across_stack_boundaries(self):
-        # 4^10 codes run through about 100 stacks of CHUNK entries
+        # 4^10 codes run through about 800 stacks of BLOCK entries
         found = list(enumerate_ghz_graphs(5, 4))
         codes = [tuple(int(x) for x in g.adj[np.triu_indices(5, 1)]) for g in found]
         assert len(codes) == 954
@@ -339,6 +352,29 @@ class TestEnumeration:
         assert {canonical_code(g) for g in reps} == codes
         for g in reps:
             assert tuple(int(x) for x in g.adj[np.triu_indices(5, 1)]) == canonical_code(g)
+
+    @pytest.mark.parametrize("n, d", [(4, 4), (4, 6), (4, 8), (5, 2), (5, 4), (6, 2)])
+    def test_dedup_matches_canonical_filter_of_labelled_graphs(self, n, d):
+        us, vs = np.triu_indices(n, 1)
+        want = [g for g in enumerate_ghz_graphs(n, d) if tuple(g.adj[us, vs].tolist()) == canonical_code(g)]
+        assert list(enumerate_ghz_graphs(n, d, dedup_isomorphism=True)) == want
+        assert want
+
+    @pytest.mark.parametrize("n, d, block", [(5, 2, 50), (4, 4, 16), (6, 2, 2**10)])
+    def test_dedup_with_hits_across_small_stacks(self, monkeypatch, n, d, block):
+        # stacks of 2, 1 and 28 codes: a class's labelled graphs fall in many stacks
+        want = list(enumerate_ghz_graphs(n, d, dedup_isomorphism=True))
+        monkeypatch.setattr(graphs, "BLOCK", block)
+        assert list(enumerate_ghz_graphs(n, d, dedup_isomorphism=True)) == want
+        assert len(list(enumerate_ghz_graphs(n, d))) > len(want) > 0
+
+    def test_dedup_labels_only_hits_no_transposition_lowers(self, monkeypatch):
+        labelled = []
+        monkeypatch.setattr(graphs, "canonical_code", lambda g: labelled.append(g) or canonical_code(g))
+        reps = list(enumerate_ghz_graphs(5, 4, dedup_isomorphism=True))
+        # 954 labelled GHZ graphs in 24 classes; the filter leaves 33 of them
+        assert (len(reps), len(labelled)) == (24, 33)
+        assert set(reps) <= set(labelled)
 
     def test_cap_refusal_mentions_space(self):
         with pytest.raises(CapExceededError, match="6\\^28"):

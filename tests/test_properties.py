@@ -20,11 +20,14 @@ from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
     _coprime_pair,
+    _drop_swap_beaten,
+    _swap_tables,
     canonical_code,
     classify_ghz,
     complete_4j3,
     enumerate_ghz_graphs,
     find_ghz_subgraphs,
+    graph_from_code,
     is_connected,
     k4,
     odd_loop,
@@ -112,6 +115,18 @@ def permutation_loop_code(g):
     """Oracle: the least edge-slot code over every relabelling, one permutation at a time."""
     pairs = list(itertools.combinations(range(g.n), 2))
     return min(tuple(int(g.adj[p[u], p[v]]) for u, v in pairs) for p in itertools.permutations(range(g.n)))
+
+
+def swap_loop_beaten(g):
+    """Oracle: whether swapping some vertex pair gives a lexicographically smaller edge-slot code."""
+    pairs = list(itertools.combinations(range(g.n), 2))
+    own = [int(g.adj[u, v]) for u, v in pairs]
+    for a, b in pairs:
+        p = list(range(g.n))
+        p[a], p[b] = b, a
+        if [int(g.adj[p[u], p[v]]) for u, v in pairs] < own:
+            return True
+    return False
 
 
 def subset_loop_ghz(g, lo, hi):
@@ -375,6 +390,17 @@ def test_canonical_code_matches_permutation_loop(g):
     code = canonical_code(g)
     assert code == permutation_loop_code(g)
     assert all(type(x) is int for x in code)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(tie_heavy_graphs().filter(lambda g: g.n <= 6))
+def test_swap_filter_keeps_canonical_codes_and_drops_only_swap_beaten_ones(g):
+    canon = graph_from_code(g.n, g.d, canonical_code(g))
+    us, vs = np.triu_indices(g.n, 1)
+    codes = np.stack([g.adj[us, vs], canon.adj[us, vs]], axis=1)
+    kept = _drop_swap_beaten(codes, _swap_tables(g.n)).T.tolist()
+    assert kept == [h.adj[us, vs].tolist() for h in (g, canon) if not swap_loop_beaten(h)]
+    assert kept[-1] == list(canonical_code(g))
 
 
 def test_canonical_code_refuses_n9_before_building_tables():
