@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -22,9 +20,11 @@ from ._search import lattice_max, scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
-from .pauli import PauliWord, dagger, multiply, power, product_action, stabilizer_product, vertex_stabilizer
+from .pauli import (PauliWord, _dagger_entry, _entry_word, _sparse_product, _stabilizer_entry, dagger, multiply, power,
+                    product_action, stabilizer_product, vertex_stabilizer)
 from .pauli import to_matrix  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from .states import build_state, eigenvalue_of
+from .states import _eigen_exponents, build_state
+from .states import eigenvalue_of  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,20 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
     if d**n <= DENSE_CAP:
         psi = build_state(g)
         delta = _flip_delta(d)
-        t = np.arange(d)
-        total, non_hermitian, eigenstate = 0, 0, True
-        forms, tables = [], []
-        for base, sign in [(vertex_stabilizer(g, v), 1) for v in range(n)] + [(coll, -1)]:
-            words = [power(base, k) for k in range(1, d, 2)]
-            non_hermitian += sum(not power(w, d).is_identity() for w in words)
-            exps = [eigenvalue_of(w, psi) for w in words]
-            eigenstate &= all(e in (0, d // 2) for e in exps)
-            if eigenstate:
-                total += sign * int(delta[exps].sum())
-                # row x.s of the scan; its table is the term's eigenvalue on Z^s|G>
-                forms.append(base.x_exp)
-                tables.append(sign * delta[(exps[0] - t) % d])
+        h = d // 2
+        bases = [vertex_stabilizer(g, v) for v in range(n)] + [coll]
+        words = [power(base, k) for base in bases for k in range(1, d, 2)]
+        non_hermitian = sum(not power(w, d).is_identity() for w in words)
+        exps = _eigen_exponents(words, psi)
         spectral_max = None
         agreement = False
-        if eigenstate:
-            oracle_value = 2 * total / d
-            best, witness = scan_max(np.array(forms), tables, d)
+        if all(e in (0, h) for e in exps):
+            signs = np.array([1] * n + [-1])
+            term_exps = np.array(exps).reshape(n + 1, h)
+            oracle_value = 2 * int(signs @ delta[term_exps].sum(axis=1)) / d
+            # row x.s of the scan per term; its table is the term's eigenvalue on Z^s|G>
+            tables = signs[:, None] * delta[(term_exps[:, :1] - np.arange(d)) % d]
+            best, witness = scan_max(np.array([base.x_exp for base in bases]), list(tables), d)
             spectral_max = float(best)
             agreement = (non_hermitian == 0 and oracle_value == value
                          and spectral_max == value and not any(witness))
@@ -372,27 +368,40 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     Each of the n+2 operator rows reduces symbolically to a pure phase: the
     shift row and every stabilizer row to the identity, the product row to
     the flip -1 (entering negated).  Each hermitized row then contributes
-    exactly +1 on any state, so the value is n+2.  When d^n <= DENSE_CAP each
-    row's factors are composed again as exact monomial actions on the basis,
-    without ``multiply``, and the product must be the identity permutation
-    carrying the expected phase on every basis state.
+    exactly +1 on any state, so the value is n+2.  Each row is reduced by
+    ``_sparse_product`` from its factors' support entries.  When
+    d^n <= DENSE_CAP each row's factors are composed again as exact monomial
+    actions on the basis, without ``multiply``, and the product must be the
+    identity permutation carrying the expected phase on every basis state.
     """
     require_ghz(g, "contextuality value")
     d, n = g.d, g.n
-    coll = PauliWord.all_x(d, n)
+    coll_dagger = (np.arange(n), np.full(n, d - 1), np.zeros(n, dtype=np.int64), 0)  # X_V^dagger = X_V^(d-1)
+
+    def shift_row():
+        yield coll_dagger
+        for v in range(n):
+            yield v, 1, 0, 0
+
+    def product_row():
+        yield coll_dagger
+        for v in range(n):
+            yield _stabilizer_entry(g, v)
 
     def rows():
-        """(name, factors of the row operator in product order, expected phase), one row at a time.
+        """(name, factors of the row operator in product order as ``_sparse_product``
+        entries, expected phase), one row at a time.
 
-        The long rows' factors are made as they are multiplied, so no more
-        than a few n-qudit words are alive at once.
+        The long rows' entries are made as they are multiplied, so only a
+        few are alive at once.
         """
-        yield "shift_row", chain([dagger(coll)], (PauliWord.single_x(d, n, v) for v in range(n))), 0
+        yield "shift_row", shift_row(), 0
         for v in range(n):
-            local = [PauliWord.single_x(d, n, v)] + [PauliWord.single_z(d, n, u, int(g.adj[u, v]))
-                                                     for u in np.flatnonzero(g.adj[:, v]).tolist()]
-            yield f"stabilizer_row_{v}", [dagger(vertex_stabilizer(g, v))] + local, 0
-        yield "product_row", chain([dagger(coll)], (vertex_stabilizer(g, v) for v in range(n))), d // 2
+            stabilizer = _stabilizer_entry(g, v)
+            cols, _, z, _ = stabilizer
+            local = [(v, 1, 0, 0)] + [(u, 0, w, 0) for u, w in zip(cols[:-1].tolist(), z[:-1].tolist())]
+            yield f"stabilizer_row_{v}", [_dagger_entry(d, stabilizer)] + local, 0
+        yield "product_row", product_row(), d // 2
 
     dim = d**n
     dense = dim <= DENSE_CAP
@@ -402,12 +411,12 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     for name, factors, expected_phase in rows():
         if dense:
             factors = list(factors)
-            index, phase = product_action(factors)
+            index, phase = product_action([_entry_word(d, n, f) for f in factors])
             exact &= bool(np.array_equal(index, np.arange(dim)) and (phase == expected_phase).all())
             # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
             sign = -1 if name == "product_row" else 1
             total += sign * int(delta[phase[0]])
-        word = reduce(multiply, factors)
+        word = _sparse_product(d, n, factors)
         word_checks[name] = (not word.x_exp.any() and not word.z_exp.any()
                              and word.phase_exp == expected_phase)
     if not all(word_checks.values()):

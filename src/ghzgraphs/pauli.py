@@ -4,9 +4,15 @@ A word is omega^p * prod_v X_v^{x_v} Z_v^{z_v} with omega = exp(2 pi i / d),
 all exponents in Z_d, and the X factor left of the Z factor on every qudit.
 Multiplication only ever moves a Z block past an X block, which costs
 omega^{z.x}, so everything stays integer until a dense matrix is requested.
+``multiply`` forms one product of two words; a long product is reduced by
+``_sparse_product`` from its factors' support entries, keeping a running Z
+sum instead of a word per partial product.
 A word's action on the computational basis is a monomial map, held exactly as
-d^n integer pairs by ``word_action``; ``to_matrix`` builds the dense d^n x d^n
-matrix and serves as the test oracle.
+d^n integer pairs.  ``_action_stacks`` builds them for a stack of words at
+once, qudit by qudit, broadcasting each qudit's shifted and phased digit over
+the grid of the qudits after it; ``word_action`` is its one-word case.
+``to_matrix`` builds the dense d^n x d^n matrix from counter digits instead
+and serves as the test oracle, so the two routes check each other.
 For even d the value -1 is omega^{d/2}; no separate sign is tracked.
 """
 
@@ -126,6 +132,52 @@ def vertex_stabilizer(g: WeightedGraph, v: int) -> PauliWord:
     return PauliWord(g.d, x, g.adj[:, v])
 
 
+def _stabilizer_entry(g: WeightedGraph, v: int) -> tuple:
+    """``vertex_stabilizer(g, v)`` as a ``_sparse_product`` entry: X on v and
+    the weights of v's edges as Z on its neighbours (adj is symmetric, so the
+    contiguous row v serves as column v)."""
+    cols = np.append(np.flatnonzero(g.adj[v]), v)
+    return cols, (cols == v).astype(np.int64), g.adj[v, cols], 0
+
+
+def _dagger_entry(d: int, entry: tuple) -> tuple:
+    """The entry of ``dagger`` of the entry's word: omega^{z.x - p} X^{-x} Z^{-z}."""
+    cols, x, z, p = entry
+    return cols, -x % d, -z % d, (int(np.dot(z, x)) - p) % d
+
+
+def _entry_word(d: int, n: int, entry: tuple) -> PauliWord:
+    """The n-qudit word of a ``_sparse_product`` entry."""
+    cols, x, z, p = entry
+    x_exp = np.zeros(n, dtype=np.int64)
+    z_exp = np.zeros(n, dtype=np.int64)
+    x_exp[cols] = x
+    z_exp[cols] = z
+    return PauliWord(d, x_exp, z_exp, p)
+
+
+def _sparse_product(d: int, n: int, entries) -> PauliWord:
+    """Normal form of the product w_1 w_2 ... w_k of n-qudit words over Z_d.
+
+    Each factor comes as an entry (cols, x, z, p): its support columns (an
+    index or an array of distinct indices), its X and Z exponents there, and
+    its phase exponent.  Moving every Z block right past the later X blocks
+    gives omega^(sum_i p_i + sum_{i<j} z_i.x_j) X^(sum x_i) Z^(sum z_i), so a
+    running Z sum, read at each factor's columns before the factor is added,
+    yields the cross terms; only the final word is built.  The sums are kept
+    reduced mod d, so the int64 dot products are exact wherever ``multiply``'s
+    are.
+    """
+    x_sum = np.zeros(n, dtype=np.int64)
+    z_sum = np.zeros(n, dtype=np.int64)
+    phase = 0
+    for cols, x, z, p in entries:
+        phase += p + int(np.dot(z_sum[cols], x))
+        x_sum[cols] = (x_sum[cols] + x) % d
+        z_sum[cols] = (z_sum[cols] + z) % d
+    return PauliWord(d, x_sum, z_sum, phase)
+
+
 def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
     """Product of vertex stabilizers in ascending vertex order.
 
@@ -133,10 +185,7 @@ def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
     the total weight and D_v the degrees; on a GHZ graph the Z part vanishes
     and the phase is d/2, i.e. the product is -X_V.
     """
-    word = PauliWord.identity(g.d, g.n)
-    for v in _vertex_subset(g, vertices):
-        word = multiply(word, vertex_stabilizer(g, v))
-    return word
+    return _sparse_product(g.d, g.n, (_stabilizer_entry(g, v) for v in _vertex_subset(g, vertices)))
 
 
 def to_matrix(w: PauliWord) -> np.ndarray:
@@ -150,8 +199,38 @@ def to_matrix(w: PauliWord) -> np.ndarray:
     return mat
 
 
-def _axis_range(d: int, n: int, v: int) -> np.ndarray:
-    return np.arange(d, dtype=np.int64).reshape((1,) * v + (d,) + (1,) * (n - v - 1))
+def _action_stacks(words):
+    """Exact monomial actions of a list of words on one (d, n), in stacks.
+
+    Yields (index, phase) pairs of shape (k, d^n) for consecutive runs of k
+    words, row i being ``word_action`` of its word except that its phases
+    are left unreduced: congruent to p + z.s mod d and in [0, (n + 1) d).
+    k d^n is at most ``STATE_CAP`` (a stack holds at least one word).  The
+    grids are built qudit by qudit from the least significant: the step for
+    qudit v puts its digit t in front, adding the shifted position
+    ((t + x_v) mod d) d^(n-1-v) to the index and z_v t mod d to the phase,
+    broadcast over the grid of qudits v+1..n-1.  A step costs the size of
+    its result, its inner loops run over that grid rather than over the d
+    digits, and nothing is rolled or decoded from counter digits.
+    """
+    d, n = words[0].d, words[0].n
+    dim = search_size("word action", d, n, STATE_CAP)
+    t = np.arange(d, dtype=np.int64)
+    strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    step = max(1, STATE_CAP // dim)
+    for start in range(0, len(words), step):
+        stack = words[start:start + step]
+        k = len(stack)
+        x = np.array([w.x_exp for w in stack]).reshape(k, n, 1)
+        z = np.array([w.z_exp for w in stack]).reshape(k, n, 1)
+        shifted = (t + x) % d * strides[:, None]
+        phased = z * t % d
+        index = np.zeros((k, 1), dtype=np.int64)
+        phase = np.array([[w.phase_exp] for w in stack], dtype=np.int64)
+        for v in reversed(range(n)):
+            index = (shifted[:, v, :, None] + index[:, None, :]).reshape(k, -1)
+            phase = (phased[:, v, :, None] + phase[:, None, :]).reshape(k, -1)
+        yield index, phase
 
 
 def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
@@ -159,40 +238,33 @@ def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
 
     s runs in counter order (qudit 0 most significant); index[s] is the
     position of s + x and phase[s] = p + z.s mod d.  These are the d^n
-    nonzero entries of ``to_matrix(w)``, computed by a separate route (a
-    roll of the index grid and broadcast phases) so each checks the other.
+    nonzero entries of ``to_matrix(w)``, built as a stack of one by
+    ``_action_stacks`` (one broadcast step per qudit), while ``to_matrix``
+    decodes counter digits, so each route checks the other.
     The two arrays hold d^n entries each, at most ``STATE_CAP``.
     """
-    dim = search_size("word action", w.d, w.n, STATE_CAP)
-    shape = (w.d,) * w.n
-    index = np.arange(dim).reshape(shape)
-    if w.x_exp.any():
-        # roll by -x puts the entry at s + x into position s
-        index = np.roll(index, [-int(x) for x in w.x_exp], axis=tuple(range(w.n)))
-    phase = np.full(shape, w.phase_exp, dtype=np.int64)
-    for v, z in enumerate(w.z_exp):
-        if z:
-            phase = phase + int(z) * _axis_range(w.d, w.n, v)
-    return index.reshape(-1), phase.reshape(-1) % w.d
+    index, phase = next(_action_stacks([w]))
+    return index[0], phase[0] % w.d
 
 
 def product_action(words) -> tuple[np.ndarray, np.ndarray]:
     """Exact monomial action of the product words[0] words[1] ... words[-1].
 
-    The factors act right to left; each one gathers the running index and
-    adds its phases there, mod d, so the product is formed without
-    ``multiply`` and can check it.
+    The factors' actions come from ``_action_stacks``; they act right to
+    left, each one gathering the running index and adding its phases there,
+    so the product is formed without ``multiply`` and can check it.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
     for w in words[1:]:
         _check_same_space(words[0], w)
-    index, phase = word_action(words[-1])
-    for w in reversed(words[:-1]):
-        w_index, w_phase = word_action(w)
-        index, phase = w_index[index], (phase + w_phase[index]) % w.d
-    return index, phase
+    index = phase = None
+    for stack in _action_stacks(words[::-1]):
+        for w_index, w_phase in zip(*stack):
+            index, phase = (w_index, w_phase) if index is None else (w_index[index], phase + w_phase[index])
+        del stack, w_index, w_phase  # free this stack before the next one is built
+    return index, phase % words[0].d
 
 
 def render_word(w: PauliWord, dagger_x: bool = False) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 from ._search import counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
 from .graphs import WeightedGraph, _ghz_tests, total_weight
-from .pauli import PauliWord, _axis_range, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
+from .pauli import PauliWord, _action_stacks, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
 
 
 class PhaseState:
@@ -53,6 +53,10 @@ class PhaseState:
         return f"PhaseState(d={self.d}, n={self.n})"
 
 
+def _axis_range(d: int, n: int, v: int) -> np.ndarray:
+    return np.arange(d, dtype=np.int64).reshape((1,) * v + (d,) + (1,) * (n - v - 1))
+
+
 def build_state(g: WeightedGraph) -> PhaseState:
     """Graph state of g: exponent e(s) = sum_{u<v} adj[u][v] s_u s_v mod d."""
     search_size("state", g.d, g.n, STATE_CAP)
@@ -62,22 +66,46 @@ def build_state(g: WeightedGraph) -> PhaseState:
     return PhaseState(g.d, g.n, e)
 
 
-def apply_word(w: PauliWord, state: PhaseState) -> PhaseState:
-    """Action of a Weyl word: w|s> = omega^{p + z.s} |s + x>, reindexed exactly."""
+def _check_word_state(w: PauliWord, state: PhaseState) -> None:
     if w.d != state.d or w.n != state.n:
         raise ValueError(f"dimension mismatch: word (d={w.d}, n={w.n}) vs state (d={state.d}, n={state.n})")
+
+
+def apply_word(w: PauliWord, state: PhaseState) -> PhaseState:
+    """Action of a Weyl word: w|s> = omega^{p + z.s} |s + x>, reindexed exactly."""
+    _check_word_state(w, state)
     index, phase = word_action(w)
     out = np.empty_like(state.exponents)
     out[index] = state.exponents + phase
     return PhaseState(state.d, state.n, out)
 
 
+def _eigen_exponents(words, state: PhaseState) -> list[int | None]:
+    """``eigenvalue_of`` for each of a list of words, from stacked actions.
+
+    With w|s> = omega^{phase[s]} |index[s]>, w|psi> = omega^k |psi> exactly
+    when e(s) + phase[s] - e(index[s]) = k mod d for every s, so one gather
+    of the exponents per stack tests every word of it, and no moved state
+    is built.
+    """
+    words = list(words)
+    for w in words:
+        _check_word_state(w, state)
+    e = state.exponents
+    out = []
+    for index, phase in _action_stacks(words):
+        phase += e
+        phase -= e[index]
+        phase %= state.d
+        same = (phase == phase[:, :1]).all(axis=1).tolist()
+        out += [k if eigen else None for k, eigen in zip(phase[:, 0].tolist(), same)]
+        del index, phase  # free this stack before the next one is built
+    return out
+
+
 def eigenvalue_of(w: PauliWord, state: PhaseState) -> int | None:
     """Exponent k with w|psi> = omega^k |psi>, or None if not an eigenstate."""
-    moved = apply_word(w, state)
-    diff = (moved.exponents - state.exponents) % state.d
-    k = int(diff[0])
-    return k if bool((diff == k).all()) else None
+    return _eigen_exponents([w], state)[0]
 
 
 @dataclass(frozen=True)
@@ -114,18 +142,17 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     d, n = g.d, g.n
     degrees, weight = g.adj.sum(axis=0), total_weight(g)
 
-    vertex_exps = tuple(eigenvalue_of(vertex_stabilizer(g, v), psi) for v in range(n))
+    flip_word = PauliWord(d, np.ones(n, dtype=np.int64), degrees)
+    *vertex_exps, flip_exponent = _eigen_exponents([vertex_stabilizer(g, v) for v in range(n)] + [flip_word], psi)
     vertex_check = all(e == 0 for e in vertex_exps)
 
     expected_product = PauliWord(d, np.ones(n, dtype=np.int64), degrees, weight)
     product_word_check = stabilizer_product(g, range(n)) == expected_product
 
-    flip_word = PauliWord(d, np.ones(n, dtype=np.int64), degrees)
-    flip_exponent = eigenvalue_of(flip_word, psi)
     flip_expected = (-weight) % d
     return StabilizerReport(
         is_ghz=not _ghz_tests(g)[3],
-        vertex_exponents=vertex_exps,
+        vertex_exponents=tuple(vertex_exps),
         vertex_check=vertex_check,
         product_word_check=product_word_check,
         flip_exponent=flip_exponent,

@@ -275,7 +275,7 @@ class TestStateVerify:
 
     def test_failed_relation_exits_one(self, triangle_file, monkeypatch, capsys):
         # every word reads as a +1 eigenvector, so the flip relation (expected -1) fails
-        monkeypatch.setattr(states, "eigenvalue_of", lambda w, psi: 0)
+        monkeypatch.setattr(states, "_eigen_exponents", lambda words, psi: [0] * len(words))
         assert cli.main(["state-verify", triangle_file]) == cli.EXIT_PREDICATE_FALSE
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertex_check"] is True
@@ -350,8 +350,8 @@ class TestInvariantFailure:
         assert captured.err == "error: Bell scan maximum 3.0 differs from the closed form 2.0\n"
 
     @pytest.mark.parametrize("argv, module, name, wrong, field", [
-        (("bell", "GRAPH"), bounds, "eigenvalue_of",
-         lambda real: lambda w, psi: 0, "oracle_agreement"),
+        (("bell", "GRAPH"), bounds, "_eigen_exponents",
+         lambda real: lambda words, psi: [0] * len(words), "oracle_agreement"),
         # the spectral maximum must be first reached at s = 0
         (("bell", "GRAPH"), bounds, "scan_max",
          lambda real: lambda forms, tables, base: (lambda best, at: (best, (1, *at[1:])))(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_word
+from ghzgraphs import pauli
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 from ghzgraphs.pauli import (
     PauliWord,
+    _action_stacks,
     commutation_phase,
     dagger,
     multiply,
@@ -19,6 +21,7 @@ from ghzgraphs.pauli import (
     vertex_stabilizer,
     word_action,
 )
+from ghzgraphs.states import PhaseState, _eigen_exponents
 
 
 def random_word(rng, d, n):
@@ -275,6 +278,36 @@ class TestDense:
             product_action([])
         with pytest.raises(ValueError):
             product_action([PauliWord.identity(2, 2), PauliWord.identity(3, 2)])
+
+
+    @pytest.mark.parametrize("per_stack", [1, 2, 3])
+    def test_stacks_stay_within_the_state_cap(self, monkeypatch, per_stack):
+        # seven factors on d^n = 81 span several stacks once STATE_CAP is small;
+        # the composed action and the eigen-exponents must not change
+        rng = np.random.default_rng(22)
+        d, n = 3, 4
+        words = [random_word(rng, d, n) for _ in range(7)]
+        psi = PhaseState(d, n, rng.integers(0, d, size=d**n))
+        words.append(PauliWord(d, [0] * n, [0] * n, 2))  # an eigen case among them
+        whole_index, whole_phase = product_action(words)
+        whole_exps = _eigen_exponents(words, psi)
+        singles = [word_action(w) for w in words]
+        assert [index.shape for index, _ in _action_stacks(words)] == [(8, d**n)]
+
+        monkeypatch.setattr(pauli, "STATE_CAP", per_stack * d**n + d**n - 1)
+        shapes = [index.shape for index, _ in _action_stacks(words)]
+        assert shapes == [(min(per_stack, 8 - i), d**n) for i in range(0, 8, per_stack)]
+        index, phase = product_action(words)
+        assert np.array_equal(index, whole_index) and np.array_equal(phase, whole_phase)
+        assert _eigen_exponents(words, psi) == whole_exps
+        for w, (w_index, w_phase) in zip(words, singles):
+            index, phase = word_action(w)
+            assert np.array_equal(index, w_index) and np.array_equal(phase, w_phase)
+
+    def test_state_cap_below_one_word_refuses(self, monkeypatch):
+        monkeypatch.setattr(pauli, "STATE_CAP", 80)
+        with pytest.raises(CapExceededError, match="word action of size 3\\^4 exceeds cap 80"):
+            product_action([PauliWord.identity(3, 4)] * 2)
 
 
 class TestRendering:

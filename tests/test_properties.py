@@ -43,8 +43,12 @@ from ghzgraphs.paradox import (  # noqa: E402
 )
 from ghzgraphs.pauli import (  # noqa: E402
     PauliWord,
+    _dagger_entry,
+    _entry_word,
+    _sparse_product,
     commutation_phase,
     dagger,
+    multiply,
     power,
     product_action,
     stabilizer_product,
@@ -52,7 +56,14 @@ from ghzgraphs.pauli import (  # noqa: E402
     vertex_stabilizer,
     word_action,
 )
-from ghzgraphs.states import build_state, to_dense  # noqa: E402
+from ghzgraphs.states import (  # noqa: E402
+    PhaseState,
+    _eigen_exponents,
+    apply_word,
+    build_state,
+    eigenvalue_of,
+    to_dense,
+)
 from test_search import loop_scan_max  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -201,6 +212,102 @@ def test_word_actions_match_dense_matrices(words):
     assert np.array_equal(monomial_matrix(*word_action(first), first.d), to_matrix(first))
     product = reduce(np.matmul, [to_matrix(w) for w in words])
     assert np.abs(monomial_matrix(*product_action(words), first.d) - product).max() <= 1e-12
+
+
+@st.composite
+def factor_triples(draw):
+    """d, n and up to 40 factors (x, z, p) on n <= 8 qudits: sparse exponent
+    vectors and phases of any size."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 8))
+    exponent = st.one_of(st.just(0), st.integers(0, d - 1))
+    exponents = st.lists(exponent, min_size=n, max_size=n)
+    size = draw(st.integers(1, 40))
+    factors = draw(st.lists(st.tuples(exponents, exponents, st.integers(-10**6, 10**6)), min_size=size, max_size=size))
+    return d, n, factors
+
+
+@PROPERTY
+@given(factor_triples(), st.booleans())
+def test_sparse_product_is_the_left_fold_of_multiply(case, scalar_sites):
+    # entries list each factor's support only; a one-site factor may be given
+    # by a plain index and plain exponents, as ks_quantum gives its X_v and Z_u;
+    # each entry's dagger is checked against dagger on its word
+    d, n, factors = case
+    entries = []
+    for x, z, p in factors:
+        x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+        cols = np.flatnonzero(x | z)
+        if scalar_sites and cols.size == 1:
+            v = int(cols[0])
+            entries.append((v, int(x[v]), int(z[v]), p))
+        else:
+            entries.append((cols, x[cols], z[cols], p))
+    assert _sparse_product(d, n, entries) == reduce(multiply, [PauliWord(d, x, z, p) for x, z, p in factors])
+    for entry, (x, z, p) in zip(entries, factors):
+        assert _entry_word(d, n, _dagger_entry(d, entry)) == dagger(PauliWord(d, x, z, p))
+
+
+def apply_word_eigenvalue(w, state):
+    """Oracle: move the state with apply_word and read the exponent shift."""
+    diff = (apply_word(w, state).exponents - state.exponents) % state.d
+    k = int(diff[0])
+    return k if (diff == k).all() else None
+
+
+@st.composite
+def states_and_words(draw):
+    """A state (graph, constant or random exponents) and one to six words on
+    its qudits: random words, pure phases, or phased powers of a vertex
+    stabilizer, so eigenstates and non-eigenstates both occur."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    g = None
+    kind = draw(st.sampled_from(["graph", "constant", "random"]))
+    if kind == "graph":
+        adj = np.zeros((n, n), dtype=np.int64)
+        for u, v in itertools.combinations(range(n), 2):
+            adj[u, v] = adj[v, u] = draw(st.integers(0, d - 1))
+        g = WeightedGraph(d, adj)
+        state = build_state(g)
+    elif kind == "constant":
+        state = PhaseState(d, n, [draw(st.integers(0, d - 1))] * d**n)
+    else:
+        state = PhaseState(d, n, draw(st.lists(st.integers(0, d - 1), min_size=d**n, max_size=d**n)))
+    exponents = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    phases = st.integers(0, d - 1)
+    word = st.one_of(
+        st.builds(lambda x, z, p: PauliWord(d, x, z, p), exponents, exponents, phases),
+        st.builds(lambda x, p: PauliWord(d, x, [0] * n, p), exponents, phases),
+        st.builds(lambda p: PauliWord(d, [0] * n, [0] * n, p), phases))
+    if g is not None:
+        word = st.one_of(word, st.builds(lambda v, k, p: multiply(PauliWord(d, [0] * n, [0] * n, p),
+                                                                  power(vertex_stabilizer(g, v), k)),
+                                         st.integers(0, n - 1), st.integers(0, d), phases))
+    return state, draw(st.lists(word, min_size=1, max_size=6))
+
+
+@PROPERTY
+@given(states_and_words())
+def test_eigen_exponents_match_the_apply_word_route(case):
+    state, words = case
+    expected = [apply_word_eigenvalue(w, state) for w in words]
+    assert [eigenvalue_of(w, state) for w in words] == expected
+    assert _eigen_exponents(words, state) == expected
+
+
+@PROPERTY
+@given(states_and_words(), st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+def test_eigenvalue_of_keeps_the_dimension_mismatch_error(case, offset):
+    state, _ = case
+    word = PauliWord.identity(state.d + offset[0], state.n + offset[1])
+    with pytest.raises(ValueError) as applied:
+        apply_word(word, state)
+    with pytest.raises(ValueError) as measured:
+        eigenvalue_of(word, state)
+    assert str(measured.value) == str(applied.value)
+    assert str(applied.value) == (f"dimension mismatch: word (d={word.d}, n={word.n}) "
+                                  f"vs state (d={state.d}, n={state.n})")
 
 
 @PROPERTY
