@@ -9,6 +9,7 @@ matrix and no eigensolver; the dense matrices are the tests' oracle).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -20,10 +21,10 @@ from ._search import lattice_max, scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
-from .pauli import (PauliWord, _dagger_entry, _entry_word, _sparse_product, _stabilizer_entry, dagger, multiply, power,
-                    product_action, stabilizer_product, vertex_stabilizer)
+from .pauli import (PauliWord, _composed_actions, _dagger_entry, _entry_stack, _identity_rows, _power_stack,
+                    _sparse_product, _stabilizer_entry, _stabilizer_stack, dagger, multiply, stabilizer_product)
 from .pauli import to_matrix  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from .states import _eigen_exponents, build_state
+from .states import _stack_exponents, build_state
 from .states import eigenvalue_of  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 
 
@@ -123,6 +124,16 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     )
 
 
+def _bell_terms(g: WeightedGraph) -> tuple:
+    """The Bell operator's term words as one stack: every odd power 1, 3, ...
+    below d of each vertex stabilizer X_v prod_u Z_u^adj[u][v], then of X_V,
+    built at once by ``power``'s closed form."""
+    d, n = g.d, g.n
+    bases = _stabilizer_stack(g, np.zeros(n, dtype=np.int64))
+    powers = np.arange(1, d, 2)
+    return _power_stack(d, [np.repeat(a, powers.size, axis=0) for a in bases], np.tile(powers, n + 1))
+
+
 def bell_quantum(g: WeightedGraph) -> BoundReport:
     """Graph-state value n + 1 and local-realistic bound n - 1 of the Bell
     operator with shift/phase settings.
@@ -138,11 +149,14 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
     attains n - 1.
 
     When d^n <= DENSE_CAP an exact oracle checks the value without the word
-    identity.  Expectation: the eigen-exponent of every odd power of every
-    stabilizer and of X_V on the exact state, each worth delta(e) = [e = 0] -
-    [e = d/2], summed as integers.  Hermiticity: w^d = I for every term word w,
-    so each term's odd powers are closed under the adjoint;
-    notes.hermiticity_defect counts the words failing it.  Spectral maximum:
+    identity.  Its (n + 1) d/2 term words, every odd power of every
+    stabilizer and of X_V, are built as one stack by ``power``'s closed form,
+    and measured on the exact state with one gather per stack of actions.
+    Expectation: each term word's eigen-exponent e is worth delta(e) =
+    [e = 0] - [e = d/2], summed as integers.  Hermiticity: w^d = I for every
+    term word w, tested on the same stack, so each term's odd powers are
+    closed under the adjoint; notes.hermiticity_defect counts the words
+    failing it.  Spectral maximum:
     a term word w = omega^p X^x Z^z with w|G> = omega^e |G> has w Z^s|G> =
     omega^(e - x.s) Z^s|G>, and its d/2 odd powers weigh (2/d) sum_k
     omega^(k t) = delta(t) there.  On the basis Z^s|G>, s in Z_d^n, the
@@ -165,10 +179,9 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
         psi = build_state(g)
         delta = _flip_delta(d)
         h = d // 2
-        bases = [vertex_stabilizer(g, v) for v in range(n)] + [coll]
-        words = [power(base, k) for base in bases for k in range(1, d, 2)]
-        non_hermitian = sum(not power(w, d).is_identity() for w in words)
-        exps = _eigen_exponents(words, psi)
+        terms = _bell_terms(g)
+        non_hermitian = int((~_identity_rows(_power_stack(d, terms, d))).sum())
+        exps = _stack_exponents(terms, psi)
         spectral_max = None
         agreement = False
         if all(e in (0, h) for e in exps):
@@ -177,7 +190,8 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
             oracle_value = 2 * int(signs @ delta[term_exps].sum(axis=1)) / d
             # row x.s of the scan per term; its table is the term's eigenvalue on Z^s|G>
             tables = signs[:, None] * delta[(term_exps[:, :1] - np.arange(d)) % d]
-            best, witness = scan_max(np.array([base.x_exp for base in bases]), list(tables), d)
+            # the k = 1 term words are the bases, whose x rows the scan reads
+            best, witness = scan_max(terms[0][::h], list(tables), d)
             spectral_max = float(best)
             agreement = (non_hermitian == 0 and oracle_value == value
                          and spectral_max == value and not any(witness))
@@ -362,6 +376,24 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     )
 
 
+def _ks_rows(g: WeightedGraph):
+    """(name, factors of the row operator in product order as ``_sparse_product``
+    entries, expected phase) of each operator row of the contextuality
+    expression, one row at a time.
+
+    The shift and product rows' entries are made as they are multiplied, so
+    only a few are alive at once.
+    """
+    d, n = g.d, g.n
+    coll_dagger = (np.arange(n), np.full(n, d - 1), np.zeros(n, dtype=np.int64), 0)  # X_V^dagger = X_V^(d-1)
+    yield "shift_row", itertools.chain([coll_dagger], ((v, 1, 0, 0) for v in range(n))), 0
+    for v in range(n):
+        cols, _, z, _ = entry = _stabilizer_entry(g, v)
+        local = [(v, 1, 0, 0)] + [(u, 0, w, 0) for u, w in zip(cols[:-1].tolist(), z[:-1].tolist())]
+        yield f"stabilizer_row_{v}", [_dagger_entry(d, entry)] + local, 0
+    yield "product_row", itertools.chain([coll_dagger], (_stabilizer_entry(g, v) for v in range(n))), d // 2
+
+
 def ks_quantum(g: WeightedGraph) -> BoundReport:
     """State-independent quantum value of the contextuality expression.
 
@@ -369,56 +401,37 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     shift row and every stabilizer row to the identity, the product row to
     the flip -1 (entering negated).  Each hermitized row then contributes
     exactly +1 on any state, so the value is n+2.  Each row is reduced by
-    ``_sparse_product`` from its factors' support entries.  When
-    d^n <= DENSE_CAP each row's factors are composed again as exact monomial
-    actions on the basis, without ``multiply``, and the product must be the
+    ``_sparse_product`` from its factors' support entries (``_ks_rows``),
+    and its reduced sums are read directly.  When d^n <= DENSE_CAP every
+    row's factors are put into one stack, and each row is composed again,
+    right to left over its own slice of the stack, as exact monomial
+    actions on the basis, without ``multiply``; each product must be the
     identity permutation carrying the expected phase on every basis state.
+    Above DENSE_CAP the rows are made one at a time as they are reduced, so
+    that only one row's entries are alive at once.
     """
     require_ghz(g, "contextuality value")
     d, n = g.d, g.n
-    coll_dagger = (np.arange(n), np.full(n, d - 1), np.zeros(n, dtype=np.int64), 0)  # X_V^dagger = X_V^(d-1)
-
-    def shift_row():
-        yield coll_dagger
-        for v in range(n):
-            yield v, 1, 0, 0
-
-    def product_row():
-        yield coll_dagger
-        for v in range(n):
-            yield _stabilizer_entry(g, v)
-
-    def rows():
-        """(name, factors of the row operator in product order as ``_sparse_product``
-        entries, expected phase), one row at a time.
-
-        The long rows' entries are made as they are multiplied, so only a
-        few are alive at once.
-        """
-        yield "shift_row", shift_row(), 0
-        for v in range(n):
-            stabilizer = _stabilizer_entry(g, v)
-            cols, _, z, _ = stabilizer
-            local = [(v, 1, 0, 0)] + [(u, 0, w, 0) for u, w in zip(cols[:-1].tolist(), z[:-1].tolist())]
-            yield f"stabilizer_row_{v}", [_dagger_entry(d, stabilizer)] + local, 0
-        yield "product_row", product_row(), d // 2
-
     dim = d**n
     dense = dim <= DENSE_CAP
-    delta = _flip_delta(d)
     word_checks = {}
-    total, exact = 0, True
-    for name, factors, expected_phase in rows():
-        if dense:
-            factors = list(factors)
-            index, phase = product_action([_entry_word(d, n, f) for f in factors])
-            exact &= bool(np.array_equal(index, np.arange(dim)) and (phase == expected_phase).all())
+    table = _ks_rows(g)
+    if dense:
+        table = [(name, list(factors), expected_phase) for name, factors, expected_phase in table]
+        stack = _entry_stack(d, n, [f for _, factors, _ in table for f in factors])
+        actions = _composed_actions(d, stack, [len(factors) for _, factors, _ in table])
+        delta = _flip_delta(d)
+        identity = np.arange(dim)
+        total, exact = 0, True
+        for (name, _, expected_phase), (index, phase) in zip(table, actions):
+            phase %= d
+            exact &= bool(np.array_equal(index, identity) and (phase == expected_phase).all())
             # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
             sign = -1 if name == "product_row" else 1
             total += sign * int(delta[phase[0]])
-        word = _sparse_product(d, n, factors)
-        word_checks[name] = (not word.x_exp.any() and not word.z_exp.any()
-                             and word.phase_exp == expected_phase)
+    for name, factors, expected_phase in table:
+        x, z, phase = _sparse_product(d, n, factors)
+        word_checks[name] = not x.any() and not z.any() and phase == expected_phase
     if not all(word_checks.values()):
         raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
 

@@ -7,10 +7,13 @@ omega^{z.x}, so everything stays integer until a dense matrix is requested.
 ``multiply`` forms one product of two words; a long product is reduced by
 ``_sparse_product`` from its factors' support entries, keeping a running Z
 sum instead of a word per partial product.
+The oracles carry many words as one stack of integer arrays: x (k, n),
+z (k, n) and phase (k,), row i being word i, so a word's power and action
+are formed for the whole stack at once.
 A word's action on the computational basis is a monomial map, held exactly as
-d^n integer pairs.  ``_action_stacks`` builds them for a stack of words at
-once, qudit by qudit, broadcasting each qudit's shifted and phased digit over
-the grid of the qudits after it; ``word_action`` is its one-word case.
+d^n integer pairs.  ``_action_stacks`` builds them for a stack of words,
+qudit by qudit, broadcasting each qudit's shifted and phased digit over the
+grid of the qudits after it; ``word_action`` is its one-word case.
 ``to_matrix`` builds the dense d^n x d^n matrix from counter digits instead
 and serves as the test oracle, so the two routes check each other.
 For even d the value -1 is omega^{d/2}; no separate sign is tracked.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._search import counter_digits, search_size
+from ._search import BLOCK, counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
 from .graphs import WeightedGraph, _vertex_subset
 
@@ -140,6 +143,14 @@ def _stabilizer_entry(g: WeightedGraph, v: int) -> tuple:
     return cols, (cols == v).astype(np.int64), g.adj[v, cols], 0
 
 
+def _stabilizer_stack(g: WeightedGraph, last_z) -> tuple:
+    """The stack (x, z, phase) of the n vertex stabilizers
+    ``vertex_stabilizer(g, v)``, then of X_V prod_v Z_v^last_z[v]."""
+    n = g.n
+    return (np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)]), np.vstack([g.adj.T, last_z]),
+            np.zeros(n + 1, dtype=np.int64))
+
+
 def _dagger_entry(d: int, entry: tuple) -> tuple:
     """The entry of ``dagger`` of the entry's word: omega^{z.x - p} X^{-x} Z^{-z}."""
     cols, x, z, p = entry
@@ -156,17 +167,50 @@ def _entry_word(d: int, n: int, entry: tuple) -> PauliWord:
     return PauliWord(d, x_exp, z_exp, p)
 
 
-def _sparse_product(d: int, n: int, entries) -> PauliWord:
-    """Normal form of the product w_1 w_2 ... w_k of n-qudit words over Z_d.
+def _power_stack(d: int, stack, k) -> tuple:
+    """``power`` of every word of a stack by the closed form
+    omega^(k p + k(k-1)/2 z.x) X^(kx) Z^(kz), reduced mod d; k is one
+    exponent for every word or an array of one per word."""
+    x, z, phase = stack
+    k = np.asarray(k)
+    cross = (z * x).sum(axis=1)
+    return k[..., None] * x % d, k[..., None] * z % d, (k * phase + k * (k - 1) // 2 * cross) % d
+
+
+def _identity_rows(stack) -> np.ndarray:
+    """Whether each word of a stack reduced mod d is the identity."""
+    x, z, phase = stack
+    return ~(x.any(axis=1) | z.any(axis=1) | (phase != 0))
+
+
+def _word_stack(words) -> tuple:
+    """The stack (x, z, phase) of a list of words on one (d, n)."""
+    return (np.array([w.x_exp for w in words]), np.array([w.z_exp for w in words]),
+            np.array([w.phase_exp for w in words], dtype=np.int64))
+
+
+def _entry_stack(d: int, n: int, entries) -> tuple:
+    """The stack (x, z, phase) of the n-qudit words of ``_sparse_product`` entries."""
+    entries = list(entries)
+    x = np.zeros((len(entries), n), dtype=np.int64)
+    z = np.zeros_like(x)
+    for row, (cols, ex, ez, _) in enumerate(entries):
+        x[row, cols] = ex
+        z[row, cols] = ez
+    return x, z, np.array([p for *_, p in entries], dtype=np.int64) % d
+
+
+def _sparse_product(d: int, n: int, entries) -> tuple:
+    """Normal form (x, z, phase) of the product w_1 w_2 ... w_k of n-qudit
+    words over Z_d, all reduced mod d.
 
     Each factor comes as an entry (cols, x, z, p): its support columns (an
     index or an array of distinct indices), its X and Z exponents there, and
     its phase exponent.  Moving every Z block right past the later X blocks
     gives omega^(sum_i p_i + sum_{i<j} z_i.x_j) X^(sum x_i) Z^(sum z_i), so a
     running Z sum, read at each factor's columns before the factor is added,
-    yields the cross terms; only the final word is built.  The sums are kept
-    reduced mod d, so the int64 dot products are exact wherever ``multiply``'s
-    are.
+    yields the cross terms; no word is built.  The sums are kept reduced
+    mod d, so the int64 dot products are exact wherever ``multiply``'s are.
     """
     x_sum = np.zeros(n, dtype=np.int64)
     z_sum = np.zeros(n, dtype=np.int64)
@@ -175,7 +219,7 @@ def _sparse_product(d: int, n: int, entries) -> PauliWord:
         phase += p + int(np.dot(z_sum[cols], x))
         x_sum[cols] = (x_sum[cols] + x) % d
         z_sum[cols] = (z_sum[cols] + z) % d
-    return PauliWord(d, x_sum, z_sum, phase)
+    return x_sum, z_sum, phase % d
 
 
 def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
@@ -185,7 +229,7 @@ def stabilizer_product(g: WeightedGraph, vertices) -> PauliWord:
     the total weight and D_v the degrees; on a GHZ graph the Z part vanishes
     and the phase is d/2, i.e. the product is -X_V.
     """
-    return _sparse_product(g.d, g.n, (_stabilizer_entry(g, v) for v in _vertex_subset(g, vertices)))
+    return PauliWord(g.d, *_sparse_product(g.d, g.n, (_stabilizer_entry(g, v) for v in _vertex_subset(g, vertices))))
 
 
 def to_matrix(w: PauliWord) -> np.ndarray:
@@ -199,38 +243,68 @@ def to_matrix(w: PauliWord) -> np.ndarray:
     return mat
 
 
-def _action_stacks(words):
-    """Exact monomial actions of a list of words on one (d, n), in stacks.
+def _action_stacks(d: int, stack):
+    """Exact monomial actions of a stack's words, in stacks of at most
+    ``BLOCK`` entries.
 
     Yields (index, phase) pairs of shape (k, d^n) for consecutive runs of k
     words, row i being ``word_action`` of its word except that its phases
     are left unreduced: congruent to p + z.s mod d and in [0, (n + 1) d).
-    k d^n is at most ``STATE_CAP`` (a stack holds at least one word).  The
-    grids are built qudit by qudit from the least significant: the step for
-    qudit v puts its digit t in front, adding the shifted position
-    ((t + x_v) mod d) d^(n-1-v) to the index and z_v t mod d to the phase,
-    broadcast over the grid of qudits v+1..n-1.  A step costs the size of
-    its result, its inner loops run over that grid rather than over the d
-    digits, and nothing is rolled or decoded from counter digits.
+    k d^n is at most ``BLOCK`` (2^15 entries, which stay in a core's L2
+    cache), and a stack holds at least one word; ``STATE_CAP`` refuses a
+    word whose d^n is larger.  The grids are built qudit by qudit from the
+    least significant: the step for qudit v puts its digit t in front,
+    adding the shifted position ((t + x_v) mod d) d^(n-1-v) to the index and
+    z_v t mod d to the phase, broadcast over the grid of qudits v+1..n-1.
+    A step costs the size of its result, its inner loops run over that grid
+    rather than over the d digits, and nothing is rolled or decoded from
+    counter digits.
     """
-    d, n = words[0].d, words[0].n
+    x, z, phase = stack
+    n = x.shape[1]
     dim = search_size("word action", d, n, STATE_CAP)
     t = np.arange(d, dtype=np.int64)
     strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    step = max(1, STATE_CAP // dim)
-    for start in range(0, len(words), step):
-        stack = words[start:start + step]
-        k = len(stack)
-        x = np.array([w.x_exp for w in stack]).reshape(k, n, 1)
-        z = np.array([w.z_exp for w in stack]).reshape(k, n, 1)
-        shifted = (t + x) % d * strides[:, None]
-        phased = z * t % d
+    step = max(1, BLOCK // dim)
+    for start in range(0, len(phase), step):
+        stop = start + step
+        k = len(phase[start:stop])
+        shifted = (t + x[start:stop, :, None]) % d * strides[:, None]
+        phased = z[start:stop, :, None] * t % d
         index = np.zeros((k, 1), dtype=np.int64)
-        phase = np.array([[w.phase_exp] for w in stack], dtype=np.int64)
+        stack_phase = phase[start:stop, None] % d
         for v in reversed(range(n)):
             index = (shifted[:, v, :, None] + index[:, None, :]).reshape(k, -1)
-            phase = (phased[:, v, :, None] + phase[:, None, :]).reshape(k, -1)
-        yield index, phase
+            stack_phase = (phased[:, v, :, None] + stack_phase[:, None, :]).reshape(k, -1)
+        yield index, stack_phase
+
+
+def _composed_actions(d: int, stack, lengths) -> list:
+    """Exact monomial actions of the products of consecutive runs of a
+    stack's words.
+
+    Product r is w_1 w_2 ... w_k over the next k = lengths[r] words (k >= 1),
+    listed in product order.  Its factors act right to left, so the stack is
+    walked from its end: each factor's action gathers the running index and
+    adds its phases there.  Returns one (index, phase) pair per product, in
+    order, the phases unreduced.
+    """
+    x, z, phase = stack
+    runs = iter(reversed(lengths))
+    left = 0
+    actions = []
+    for stack_index, stack_phase in _action_stacks(d, (x[::-1], z[::-1], phase[::-1])):
+        for w_index, w_phase in zip(stack_index, stack_phase):
+            if not left:
+                left = next(runs)
+                index, acc = w_index, w_phase
+            else:
+                index, acc = w_index[index], acc + w_phase[index]
+            left -= 1
+            if not left:
+                actions.append((index, acc))
+        del stack_index, stack_phase, w_index, w_phase  # free this stack before the next one is built
+    return actions[::-1]
 
 
 def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
@@ -243,27 +317,23 @@ def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     decodes counter digits, so each route checks the other.
     The two arrays hold d^n entries each, at most ``STATE_CAP``.
     """
-    index, phase = next(_action_stacks([w]))
+    index, phase = next(_action_stacks(w.d, _word_stack([w])))
     return index[0], phase[0] % w.d
 
 
 def product_action(words) -> tuple[np.ndarray, np.ndarray]:
     """Exact monomial action of the product words[0] words[1] ... words[-1].
 
-    The factors' actions come from ``_action_stacks``; they act right to
-    left, each one gathering the running index and adding its phases there,
-    so the product is formed without ``multiply`` and can check it.
+    The words are stacked once and composed by ``_composed_actions``, right
+    to left by gathers, so the product is formed without ``multiply`` and
+    can check it.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
     for w in words[1:]:
         _check_same_space(words[0], w)
-    index = phase = None
-    for stack in _action_stacks(words[::-1]):
-        for w_index, w_phase in zip(*stack):
-            index, phase = (w_index, w_phase) if index is None else (w_index[index], phase + w_phase[index])
-        del stack, w_index, w_phase  # free this stack before the next one is built
+    [(index, phase)] = _composed_actions(words[0].d, _word_stack(words), [len(words)])
     return index, phase % words[0].d
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from ._search import counter_digits, search_size
 from .defaults import DENSE_CAP, STATE_CAP
 from .graphs import WeightedGraph, _ghz_tests, total_weight
-from .pauli import PauliWord, _action_stacks, power, stabilizer_product, to_matrix, vertex_stabilizer, word_action
+from .pauli import (PauliWord, _action_stacks, _stabilizer_stack, _word_stack, power, stabilizer_product, to_matrix,
+                    vertex_stabilizer, word_action)
 
 
 class PhaseState:
@@ -80,20 +81,18 @@ def apply_word(w: PauliWord, state: PhaseState) -> PhaseState:
     return PhaseState(state.d, state.n, out)
 
 
-def _eigen_exponents(words, state: PhaseState) -> list[int | None]:
-    """``eigenvalue_of`` for each of a list of words, from stacked actions.
+def _stack_exponents(stack, state: PhaseState) -> list[int | None]:
+    """``eigenvalue_of`` for each word of a stack (x, z, phase) on the
+    state's qudits, from stacked actions.
 
     With w|s> = omega^{phase[s]} |index[s]>, w|psi> = omega^k |psi> exactly
     when e(s) + phase[s] - e(index[s]) = k mod d for every s, so one gather
     of the exponents per stack tests every word of it, and no moved state
     is built.
     """
-    words = list(words)
-    for w in words:
-        _check_word_state(w, state)
     e = state.exponents
     out = []
-    for index, phase in _action_stacks(words):
+    for index, phase in _action_stacks(state.d, stack):
         phase += e
         phase -= e[index]
         phase %= state.d
@@ -105,7 +104,8 @@ def _eigen_exponents(words, state: PhaseState) -> list[int | None]:
 
 def eigenvalue_of(w: PauliWord, state: PhaseState) -> int | None:
     """Exponent k with w|psi> = omega^k |psi>, or None if not an eigenstate."""
-    return _eigen_exponents([w], state)[0]
+    _check_word_state(w, state)
+    return _stack_exponents(_word_stack([w]), state)[0]
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     d, n = g.d, g.n
     degrees, weight = g.adj.sum(axis=0), total_weight(g)
 
-    flip_word = PauliWord(d, np.ones(n, dtype=np.int64), degrees)
-    *vertex_exps, flip_exponent = _eigen_exponents([vertex_stabilizer(g, v) for v in range(n)] + [flip_word], psi)
+    # the vertex stabilizers, then X_V prod_v Z_v^D_v
+    *vertex_exps, flip_exponent = _stack_exponents(_stabilizer_stack(g, degrees), psi)
     vertex_check = all(e == 0 for e in vertex_exps)
 
     expected_product = PauliWord(d, np.ones(n, dtype=np.int64), degrees, weight)

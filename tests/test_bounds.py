@@ -152,12 +152,12 @@ class TestBellQuantum:
         # a stabilizer of vertex 0 wrongly measured at -1 moves the top of the
         # diagonal to the classical n - 1, so the oracle disagrees
         g = k4(4, 1, 1, 0)
-        exact = bounds._eigen_exponents
+        exact = bounds._stack_exponents
 
-        def misread(words, psi):
-            return [g.d // 2 if w.x_exp.tolist() == [1, 0, 0, 0] else e for w, e in zip(words, exact(words, psi))]
+        def misread(stack, psi):
+            return [g.d // 2 if x.tolist() == [1, 0, 0, 0] else e for x, e in zip(stack[0], exact(stack, psi))]
 
-        monkeypatch.setattr(bounds, "_eigen_exponents", misread)
+        monkeypatch.setattr(bounds, "_stack_exponents", misread)
         report = bell_quantum(g)
         assert report.oracle_agreement is False
         assert report.notes["spectral_max"] == float(g.n - 1)

@@ -275,7 +275,7 @@ class TestStateVerify:
 
     def test_failed_relation_exits_one(self, triangle_file, monkeypatch, capsys):
         # every word reads as a +1 eigenvector, so the flip relation (expected -1) fails
-        monkeypatch.setattr(states, "_eigen_exponents", lambda words, psi: [0] * len(words))
+        monkeypatch.setattr(states, "_stack_exponents", lambda stack, psi: [0] * len(stack[2]))
         assert cli.main(["state-verify", triangle_file]) == cli.EXIT_PREDICATE_FALSE
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertex_check"] is True
@@ -350,21 +350,22 @@ class TestInvariantFailure:
         assert captured.err == "error: Bell scan maximum 3.0 differs from the closed form 2.0\n"
 
     @pytest.mark.parametrize("argv, module, name, wrong, field", [
-        (("bell", "GRAPH"), bounds, "_eigen_exponents",
-         lambda real: lambda words, psi: [0] * len(words), "oracle_agreement"),
+        (("bell", "GRAPH"), bounds, "_stack_exponents",
+         lambda real: lambda stack, psi: [0] * len(stack[2]), "oracle_agreement"),
         # the spectral maximum must be first reached at s = 0
         (("bell", "GRAPH"), bounds, "scan_max",
          lambda real: lambda forms, tables, base: (lambda best, at: (best, (1, *at[1:])))(
              *real(forms, tables, base)), "oracle_agreement"),
         # w^d = I fails for every odd-power term word
-        (("bell", "GRAPH"), bounds, "power",
-         lambda real: lambda w, k: real(w, 1 if k == w.d else k), "oracle_agreement"),
+        (("bell", "GRAPH"), bounds, "_power_stack",
+         lambda real: lambda d, stack, k: real(d, stack, np.where(np.equal(k, d), 1, k)), "oracle_agreement"),
         (("ks", "GRAPH"), bounds, "_ks_direct_max",
          lambda real: lambda g: (2.0, None), "direct_agreement"),
         (("ks", "GRAPH"), bounds, "_ks_direct_max",
          lambda real: lambda g: (real(g)[0] + 1e-6, real(g)[1]), "direct_agreement"),
-        (("ks", "GRAPH"), bounds, "product_action",
-         lambda real: lambda words: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)),
+        (("ks", "GRAPH"), bounds, "_composed_actions",
+         lambda real: lambda d, stack, lengths: [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+                                                 for _ in lengths],
          "quantum_oracle_agreement"),
         (("lemma", "3", "8"), bounds, "_sweep_values",
          lambda real: lambda n, d: (0.0 * v for v in real(n, d)), "agreement"),

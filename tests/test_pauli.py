@@ -10,6 +10,7 @@ from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 from ghzgraphs.pauli import (
     PauliWord,
     _action_stacks,
+    _word_stack,
     commutation_phase,
     dagger,
     multiply,
@@ -21,7 +22,7 @@ from ghzgraphs.pauli import (
     vertex_stabilizer,
     word_action,
 )
-from ghzgraphs.states import PhaseState, _eigen_exponents
+from ghzgraphs.states import PhaseState, _stack_exponents
 
 
 def random_word(rng, d, n):
@@ -282,24 +283,24 @@ class TestDense:
 
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     def test_stacks_stay_within_the_state_cap(self, monkeypatch, per_stack):
-        # seven factors on d^n = 81 span several stacks once STATE_CAP is small;
-        # the composed action and the eigen-exponents must not change
+        # seven factors on d^n = 81 span several stacks once the BLOCK budget is
+        # small; the composed action and the eigen-exponents must not change
         rng = np.random.default_rng(22)
         d, n = 3, 4
         words = [random_word(rng, d, n) for _ in range(7)]
         psi = PhaseState(d, n, rng.integers(0, d, size=d**n))
         words.append(PauliWord(d, [0] * n, [0] * n, 2))  # an eigen case among them
         whole_index, whole_phase = product_action(words)
-        whole_exps = _eigen_exponents(words, psi)
+        whole_exps = _stack_exponents(_word_stack(words), psi)
         singles = [word_action(w) for w in words]
-        assert [index.shape for index, _ in _action_stacks(words)] == [(8, d**n)]
+        assert [index.shape for index, _ in _action_stacks(d, _word_stack(words))] == [(8, d**n)]
 
-        monkeypatch.setattr(pauli, "STATE_CAP", per_stack * d**n + d**n - 1)
-        shapes = [index.shape for index, _ in _action_stacks(words)]
+        monkeypatch.setattr(pauli, "BLOCK", per_stack * d**n + d**n - 1)
+        shapes = [index.shape for index, _ in _action_stacks(d, _word_stack(words))]
         assert shapes == [(min(per_stack, 8 - i), d**n) for i in range(0, 8, per_stack)]
         index, phase = product_action(words)
         assert np.array_equal(index, whole_index) and np.array_equal(phase, whole_phase)
-        assert _eigen_exponents(words, psi) == whole_exps
+        assert _stack_exponents(_word_stack(words), psi) == whole_exps
         for w, (w_index, w_phase) in zip(words, singles):
             index, phase = word_action(w)
             assert np.array_equal(index, w_index) and np.array_equal(phase, w_phase)

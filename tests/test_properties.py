@@ -13,9 +13,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ghzgraphs import _search, paradox  # noqa: E402
+from ghzgraphs import _search, bounds, paradox, pauli  # noqa: E402
 from ghzgraphs._search import BLOCK, CHUNK, lattice_max, scan_max  # noqa: E402
-from ghzgraphs.bounds import _flip_delta, bell_classical_max, bell_quantum  # noqa: E402
+from ghzgraphs.bounds import _bell_terms, _flip_delta, _ks_rows, bell_classical_max, bell_quantum, ks_quantum  # noqa: E402
 from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
     WeightedGraph,
@@ -43,9 +43,14 @@ from ghzgraphs.paradox import (  # noqa: E402
 )
 from ghzgraphs.pauli import (  # noqa: E402
     PauliWord,
+    _composed_actions,
     _dagger_entry,
+    _entry_stack,
     _entry_word,
+    _identity_rows,
+    _power_stack,
     _sparse_product,
+    _word_stack,
     commutation_phase,
     dagger,
     multiply,
@@ -58,11 +63,12 @@ from ghzgraphs.pauli import (  # noqa: E402
 )
 from ghzgraphs.states import (  # noqa: E402
     PhaseState,
-    _eigen_exponents,
+    _stack_exponents,
     apply_word,
     build_state,
     eigenvalue_of,
     to_dense,
+    verify_stabilizers,
 )
 from test_search import loop_scan_max  # noqa: E402
 
@@ -243,7 +249,7 @@ def test_sparse_product_is_the_left_fold_of_multiply(case, scalar_sites):
             entries.append((v, int(x[v]), int(z[v]), p))
         else:
             entries.append((cols, x[cols], z[cols], p))
-    assert _sparse_product(d, n, entries) == reduce(multiply, [PauliWord(d, x, z, p) for x, z, p in factors])
+    assert PauliWord(d, *_sparse_product(d, n, entries)) == reduce(multiply, [PauliWord(d, x, z, p) for x, z, p in factors])
     for entry, (x, z, p) in zip(entries, factors):
         assert _entry_word(d, n, _dagger_entry(d, entry)) == dagger(PauliWord(d, x, z, p))
 
@@ -293,7 +299,7 @@ def test_eigen_exponents_match_the_apply_word_route(case):
     state, words = case
     expected = [apply_word_eigenvalue(w, state) for w in words]
     assert [eigenvalue_of(w, state) for w in words] == expected
-    assert _eigen_exponents(words, state) == expected
+    assert _stack_exponents(_word_stack(words), state) == expected
 
 
 @PROPERTY
@@ -320,6 +326,133 @@ def test_stabilizer_product_is_the_closed_form_word(g):
     index, phase = word_action(product)
     stab_index, stab_phase = product_action([vertex_stabilizer(g, v) for v in range(g.n)])
     assert np.array_equal(index, stab_index) and np.array_equal(phase, stab_phase)
+
+
+def stack_words(stack):
+    """(x, z, phase) of each word of a stack as it is stored, unreduced."""
+    return [(x.tolist(), z.tolist(), int(p)) for x, z, p in zip(*stack)]
+
+
+def word_rows(words):
+    """(x, z, phase) of each word, reduced as ``PauliWord`` keeps them."""
+    return [(w.x_exp.tolist(), w.z_exp.tolist(), w.phase_exp) for w in words]
+
+
+@PROPERTY
+@given(factor_lists(), st.data())
+def test_power_stack_is_power_word_by_word(words, data):
+    # any exponent per word, or one for all; the identity flags of the d-th
+    # powers are the hermiticity test of bell_quantum
+    d = words[0].d
+    ks = data.draw(st.lists(st.integers(0, 2 * d + 1), min_size=len(words), max_size=len(words)))
+    stack = _word_stack(words)
+    assert stack_words(_power_stack(d, stack, np.array(ks))) == word_rows(power(w, k) for w, k in zip(words, ks))
+    assert stack_words(_power_stack(d, stack, d)) == word_rows(power(w, d) for w in words)
+    assert _identity_rows(_power_stack(d, stack, d)).tolist() == [power(w, d).is_identity() for w in words]
+
+
+@PROPERTY
+@given(weighted_graphs(), st.data())
+def test_bell_term_stack_matches_the_per_word_route(g, data):
+    # odd d and non-GHZ weights too: the term stack is every odd power of every
+    # vertex stabilizer, then of X_V, as power builds them word by word, and
+    # its eigen-exponents on the graph state are eigenvalue_of's, also when a
+    # small budget splits the stack
+    d, n = g.d, g.n
+    bases = [vertex_stabilizer(g, v) for v in range(n)] + [PauliWord.all_x(d, n)]
+    words = [power(base, k) for base in bases for k in range(1, d, 2)]
+    terms = _bell_terms(g)
+    assert stack_words(terms) == word_rows(words)
+    assert _identity_rows(_power_stack(d, terms, d)).tolist() == [power(w, d).is_identity() for w in words]
+    assume(d**n <= 4096)
+    psi = build_state(g)
+    expected = [eigenvalue_of(w, psi) for w in words]
+    assert expected == [apply_word_eigenvalue(w, psi) for w in words]
+    assert _stack_exponents(terms, psi) == expected
+    with patch.object(pauli, "BLOCK", data.draw(st.integers(1, 3 * d**n))):
+        assert _stack_exponents(terms, psi) == expected
+
+
+@PROPERTY
+@given(weighted_graphs(), st.data())
+def test_verify_stabilizers_measures_as_eigenvalue_of(g, data):
+    assume(g.d**g.n <= 4096)
+    d, n = g.d, g.n
+    psi = build_state(g)
+    flip = PauliWord(d, np.ones(n, dtype=np.int64), g.adj.sum(axis=0))
+    report = verify_stabilizers(g)
+    assert report.vertex_exponents == tuple(eigenvalue_of(vertex_stabilizer(g, v), psi) for v in range(n))
+    assert report.flip_exponent == eigenvalue_of(flip, psi) == apply_word_eigenvalue(flip, psi)
+    with patch.object(pauli, "BLOCK", data.draw(st.integers(1, 3 * d**n))):
+        assert verify_stabilizers(g) == report
+
+
+@st.composite
+def entry_runs(draw):
+    """d, n <= 4 with d^n <= 1296, and one to five runs of one to six
+    ``_sparse_product`` entries: random words, not commuting in general."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    factor = st.tuples(exponents, exponents, st.integers(-50, 50))
+    runs = draw(st.lists(st.lists(factor, min_size=1, max_size=6), min_size=1, max_size=5))
+    entries = []
+    for run in runs:
+        entries.append([])
+        for x, z, p in run:
+            x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+            cols = np.flatnonzero(x | z)
+            entries[-1].append((cols, x[cols], z[cols], p))
+    return d, n, entries
+
+
+@PROPERTY
+@given(entry_runs(), st.data())
+def test_composed_actions_are_the_products_of_each_run(case, data):
+    # one stack holds every run; each run's action is its product's, formed
+    # by multiply word by word, whatever the budget splitting the stack
+    d, n, runs = case
+    stack = _entry_stack(d, n, [entry for run in runs for entry in run])
+    with patch.object(pauli, "BLOCK", data.draw(st.integers(1, 3 * d**n))):
+        actions = _composed_actions(d, stack, [len(run) for run in runs])
+    assert len(actions) == len(runs)
+    for run, (index, phase) in zip(runs, actions):
+        words = [_entry_word(d, n, entry) for entry in run]
+        for want_index, want_phase in (word_action(reduce(multiply, words)), product_action(words)):
+            assert np.array_equal(index, want_index) and np.array_equal(phase % d, want_phase)
+
+
+@PROPERTY
+@given(relabelled_ghz_graphs(), st.data())
+def test_ks_rows_compose_as_their_entry_words(g, data):
+    # the rows are the operator rows of the contextuality expression word by
+    # word; ks_quantum's dense oracle composes exactly these rows, and no
+    # report depends on the budget that splits its stacks
+    assume(g.d**g.n <= 4096)
+    d, n = g.d, g.n
+    rows = [(name, list(factors), phase) for name, factors, phase in _ks_rows(g)]
+    coll_dagger = dagger(PauliWord.all_x(d, n))
+    stabilizers = [vertex_stabilizer(g, v) for v in range(n)]
+    expected = [[coll_dagger] + [PauliWord.single_x(d, n, v) for v in range(n)]]
+    expected += [[dagger(s), PauliWord.single_x(d, n, v)]
+                 + [PauliWord.single_z(d, n, int(u), int(g.adj[v, u])) for u in np.flatnonzero(g.adj[v])]
+                 for v, s in enumerate(stabilizers)]
+    expected.append([coll_dagger] + stabilizers)
+    assert [[_entry_word(d, n, f) for f in factors] for _, factors, _ in rows] == expected
+    assert [name for name, _, _ in rows] == (["shift_row"] + [f"stabilizer_row_{v}" for v in range(n)]
+                                              + ["product_row"])
+
+    composed = []
+    real = bounds._composed_actions
+    reports = [repr(f(g)) for f in (bell_quantum, ks_quantum, verify_stabilizers)]
+    with patch.object(bounds, "_composed_actions", lambda *args: composed.append(real(*args)) or composed[-1]), \
+            patch.object(pauli, "BLOCK", data.draw(st.integers(1, 3 * d**n))):
+        assert [repr(f(g)) for f in (bell_quantum, ks_quantum, verify_stabilizers)] == reports
+    [actions] = composed
+    assert len(actions) == len(rows)
+    for (_, factors, _), (index, phase) in zip(rows, actions):
+        want_index, want_phase = product_action([_entry_word(d, n, f) for f in factors])
+        assert np.array_equal(index, want_index) and np.array_equal(phase % d, want_phase)
 
 
 @PROPERTY
