@@ -5,6 +5,9 @@ digits, and no timing fields, so identical inputs produce byte-identical
 reports.  Exit codes: 0 success/true, 1 predicate false, 2 input error
 (including graph files with n > 4096 or d >= 2^63), 3 resource cap
 exceeded, 4 internal self-check failed.
+
+Each handler imports the modules it calls, so ``--help`` and usage errors
+load no numpy, and ``check`` loads no dense or bounds code.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import dataclasses
 import json
 import sys
 
-from . import bounds, graphs, paradox, states
 from .defaults import SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError, NotGhzGraphError
 
@@ -95,6 +97,8 @@ def _agreement(field: str, agreement):
 
 
 def cmd_check(args) -> int:
+    from . import graphs
+
     g = graphs.load_graph(args.graph)
     rep = graphs.classify_ghz(g)
     doc = {"graph": graphs.graph_to_dict(g), **dataclasses.asdict(rep)}
@@ -103,6 +107,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import graphs
+
     count = 0
     for g in graphs.enumerate_ghz_graphs(args.n, args.d, dedup_isomorphism=args.dedup, cap=args.cap):
         if args.format == "json":
@@ -115,6 +121,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_paradox(args) -> int:
+    from . import graphs, paradox
+
     g = graphs.load_graph(args.graph)
     system = paradox.constraint_system(g)
     table = paradox.mermin_table(g)
@@ -140,6 +148,8 @@ def cmd_paradox(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    from . import bounds, graphs
+
     g = graphs.load_graph(args.graph)
     quantum = bounds.bell_quantum(g)
     bound = quantum.classical_bound  # closed form; the scan only confirms it, within cap
@@ -166,6 +176,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_ks(args) -> int:
+    from . import bounds, graphs
+
     g = graphs.load_graph(args.graph)
     classical = bounds.ks_classical_max(g, cap=args.cap)
     quantum = bounds.ks_quantum(g)
@@ -185,6 +197,8 @@ def cmd_ks(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    from . import bounds
+
     closed = bounds.lattice_bound_closed(args.n, args.d)
     sweep_max = max(bounds._sweep_values(args.n, args.d))
     brute = bounds.BoundReport(kind="lattice_brute")  # over cap: no maximum, witness or check
@@ -207,6 +221,8 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_state_verify(args) -> int:
+    from . import graphs, states
+
     g = graphs.load_graph(args.graph)
     rep = states.verify_stabilizers(g)
     doc = {"graph": graphs.graph_to_dict(g), **dataclasses.asdict(rep), "all_pass": rep.all_pass}

@@ -74,7 +74,11 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Nonzero edges as (u, v, w) with u < v, in ascending order."""
-        us, vs = np.nonzero(np.triu(self.adj, 1))
+        # the full matrix's nonzeros in row-major order, keeping u < v: no
+        # second n x n array, and the same order as the upper triangle's
+        us, vs = np.nonzero(self.adj)
+        upper = us < vs
+        us, vs = us[upper], vs[upper]
         return list(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
 
     def __eq__(self, other) -> bool:
@@ -415,7 +419,9 @@ def graph_from_dict(obj) -> WeightedGraph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of [u, v, w] triples")
-    adj = np.zeros((n, n), dtype=np.int64)
+    # the narrowest dtype that holds every weight (0 < w < d); WeightedGraph
+    # makes its own int64 copy, so this scratch array stays small
+    adj = np.zeros((n, n), dtype=np.min_scalar_type(d - 1))
     seen = set()
     for k, item in enumerate(edges):
         ok = isinstance(item, list) and len(item) == 3 and all(

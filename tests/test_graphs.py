@@ -457,6 +457,7 @@ class TestFileFormat:
         # and the int64 sums of un-reduced weights must not wrap
         ({"d": 2**62, "n": 5, "edges": []}, "n \\* \\(d-1\\) \\* max\\(n, d-1\\) must be below 2\\^63"),
         ({"d": 3037000501, "n": 1, "edges": []}, "got n=1 and a 32-bit d"),
+        ({"d": 2**63 - 1, "n": 2, "edges": [[0, 1, 2**63 - 2]]}, "got n=2 and a 63-bit d"),
     ])
     def test_schema_violations(self, doc, fragment):
         with pytest.raises(GraphFormatError, match=fragment):
@@ -471,6 +472,18 @@ class TestFileFormat:
         assert graph_from_dict({"d": top + 1, "n": n, "edges": []}).d == top + 1
         with pytest.raises(GraphFormatError, match="must be below 2\\^63"):
             graph_from_dict({"d": top + 2, "n": n, "edges": []})
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 255), (4, 256), (5, 257), (6, 2**16), (6, 2**16 + 1),
+                                      (2, 2**31), (3, 1753413057)])
+    def test_narrow_scratch_builds_the_int64_adjacency(self, n, d):
+        # graph_from_dict fills the narrowest dtype that holds d - 1; (2, 2^31) and
+        # (3, 1753413057) are the widest moduli their n admits, so d - 1 fills 31 bits
+        edges = [[u, v, (d - 1) if (u + v) % 2 else 1 + (u * n + v) % (d - 1)]
+                 for u, v in itertools.combinations(range(n), 2)]
+        g = graph_from_dict({"d": d, "n": n, "edges": edges})
+        assert g.adj.dtype == np.int64
+        assert np.array_equal(g.adj, WeightedGraph.from_edges(d, n, edges).adj)
+        assert graph_to_dict(g)["edges"] == edges
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -107,6 +107,19 @@ def weighted_graphs(draw):
 
 
 @st.composite
+def wide_graphs(draw):
+    """Graphs at a modulus up to 2^63 - 1, weights as wide as WeightedGraph admits at their n."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.one_of(st.integers(2, 2**63 - 1), st.integers(2**63 - 2**10, 2**63 - 1)))
+    top = min(d - 1, (2**63 - 1) // n**2)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            adj[u, v] = adj[v, u] = draw(st.sampled_from([0, 0, top, draw(st.integers(1, top))]))
+    return WeightedGraph(d, adj)
+
+
+@st.composite
 def factor_lists(draw):
     """One to four random Weyl words on a common (d, n)."""
     d = draw(st.integers(2, 6))
@@ -587,6 +600,14 @@ def test_edges_match_pair_loop(g):
     edges = g.edges()
     assert edges == pair_loop_edges(g)
     assert all(type(x) is int for edge in edges for x in edge)
+
+
+@PROPERTY
+@given(st.one_of(weighted_graphs(), wide_graphs()))
+def test_edges_match_the_upper_triangle_route(g):
+    # the route edges() took before it stopped building a second n x n array
+    us, vs = np.nonzero(np.triu(g.adj, 1))
+    assert g.edges() == list(zip(us.tolist(), vs.tolist(), g.adj[us, vs].tolist()))
 
 
 @PROPERTY
