@@ -79,16 +79,14 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
 
     A block streams a few arrays of rows * chunk entries, so it runs fastest
     while they stay in a core's L2 cache: the default BLOCK = 2^15 entries
-    keeps seven rows at about 1.8 MB.  CHUNK (2^18) would put one block's
-    arrays in L3 at about 14 MB and ran the lattice scans at about half
-    the speed; it stays the bound of the counter blocks and stacks, which
-    are not read row by row.  A row whose listed residues are all zero
-    (grown digits and the blocked column's translates alike) but which the
-    block digits shift is constant over a block: it adds its one table
-    entry as a scalar, and a run of such rows at the start sums to the
-    block's starting value.  Every value is still 0 plus the rows' terms
-    in row order, so the maximum, its witness and its repr do not depend
-    on chunk.
+    keeps seven rows at about 1.8 MB.  The counter blocks of ``graphs``
+    and the action stacks of ``pauli`` use BLOCK too; CHUNK (2^18) bounds
+    only ``lattice_max``'s blocks and ``digit_chunks``' default.  A row
+    whose listed residues are all zero (grown digits and the blocked
+    column's translates alike) but which the block digits shift is constant
+    over a block: it adds its one table entry as a scalar.  Every value is
+    still 0 plus the rows' terms in row order, so the maximum, its witness
+    and its repr do not depend on chunk.
     """
     forms = np.asarray(forms, dtype=np.int64) % base
     tables = np.asarray(tables)
@@ -118,9 +116,6 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     # copy would outgrow the rows * chunk bound
     still = {r: tables[r][vecs[r]] for r in range(rows) if not forms[r, :col + 1].any()}
     scalar = {r for r in range(rows) if r not in still and not vecs[r].any()}
-    lead = 0  # the leading scalar rows sum to the block's starting value
-    while lead in scalar:
-        lead += 1
     doubled = np.concatenate([tables, tables], axis=1) if base <= chunk else None
     sums = np.empty(vecs.shape[1], dtype=tables.dtype)
     terms = np.empty_like(sums)
@@ -131,11 +126,8 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
         for move in range(0, order, step):
             count = min(step, order - move) * size
             vals = sums[:count]
-            first = 0
-            for r in range(lead):
-                first = first + tables[r][shift[r]]
-            vals[:] = first
-            for r in range(lead, rows):
+            vals[:] = 0
+            for r in range(rows):
                 s = shift[r]
                 if r in still:
                     term = still[r][:count]

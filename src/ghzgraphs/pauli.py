@@ -321,22 +321,6 @@ def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     return index[0], phase[0] % w.d
 
 
-def product_action(words) -> tuple[np.ndarray, np.ndarray]:
-    """Exact monomial action of the product words[0] words[1] ... words[-1].
-
-    The words are stacked once and composed by ``_composed_actions``, right
-    to left by gathers, so the product is formed without ``multiply`` and
-    can check it.
-    """
-    words = list(words)
-    if not words:
-        raise ValueError("need at least one word")
-    for w in words[1:]:
-        _check_same_space(words[0], w)
-    [(index, phase)] = _composed_actions(words[0].d, _word_stack(words), [len(words)])
-    return index, phase % words[0].d
-
-
 def render_word(w: PauliWord, dagger_x: bool = False) -> str:
     """One token per qudit in operator-table style, e.g. "X Z^3 Z Z^0".
 

@@ -24,7 +24,6 @@ from ghzgraphs.bounds import (
 from ghzgraphs.errors import CapExceededError, InvariantError, NotGhzGraphError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.paradox import mermin_table
-from ghzgraphs.pauli import PauliWord
 
 
 def python_lattice_max(n, d):
@@ -138,9 +137,31 @@ class TestBellQuantum:
         assert report.oracle_value is None and report.oracle_agreement is None
 
     def test_failed_self_check_raises_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(bounds, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
+        monkeypatch.setattr(bounds, "_sparse_product",
+                            lambda d, n, entries: (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0))
         with pytest.raises(InvariantError, match="not the flipped collective shift"):
             bell_quantum(triangle(2))
+
+    @pytest.mark.parametrize("part", ["x", "z", "phase"])
+    def test_each_part_of_the_flip_identity_is_checked(self, monkeypatch, part):
+        # the product is omega^(d/2) X_V; each case spoils one part of it
+        real = bounds._sparse_product
+
+        def spoiled(d, n, entries):
+            x, z, phase = real(d, n, entries)
+            assert (x == 1).all() and not z.any() and phase == d // 2
+            if part == "x":
+                x = np.where(np.arange(n) == 0, 0, x)
+            elif part == "z":
+                z = np.where(np.arange(n) == n - 1, 1, z)
+            else:
+                phase = 0
+            return x, z, phase
+
+        monkeypatch.setattr(bounds, "_sparse_product", spoiled)
+        with pytest.raises(InvariantError) as raised:
+            bell_quantum(triangle(2))
+        assert str(raised.value) == "the stabilizer product is not the flipped collective shift"
 
     @pytest.mark.parametrize("g", [triangle(2), k4(4, 1, 1, 0), k4(6, 1, 1, 1)], ids=["triangle_d2", "k4_d4", "k4_d6"])
     def test_oracle_is_exact(self, g):

@@ -281,6 +281,17 @@ class TestStateVerify:
         assert doc["vertex_check"] is True
         assert doc["flip_check"] is False and doc["all_pass"] is False
 
+    def test_failed_product_word_exits_one(self, triangle_file, monkeypatch, capsys):
+        # the stabilizer product reads as the identity instead of omega^W X_V prod_v Z_v^D_v
+        monkeypatch.setattr(states, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
+        rep = states.verify_stabilizers(triangle(2))
+        assert rep.product_word_check is False and rep.all_pass is False
+        assert rep.vertex_check and rep.flip_check
+        assert cli.main(["state-verify", triangle_file]) == cli.EXIT_PREDICATE_FALSE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["product_word_check"] is False and doc["all_pass"] is False
+        assert doc["vertex_check"] is True and doc["flip_check"] is True
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -325,7 +336,8 @@ class TestDeterminism:
 
 class TestInvariantFailure:
     def test_failed_self_check_exits_four(self, triangle_file, monkeypatch, capsys):
-        monkeypatch.setattr(bounds, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
+        monkeypatch.setattr(bounds, "_sparse_product",
+                            lambda d, n, entries: (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0))
         assert cli.main(["bell", triangle_file]) == cli.EXIT_INVARIANT == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -55,7 +55,6 @@ from ghzgraphs.pauli import (  # noqa: E402
     dagger,
     multiply,
     power,
-    product_action,
     stabilizer_product,
     to_matrix,
     vertex_stabilizer,
@@ -70,6 +69,7 @@ from ghzgraphs.states import (  # noqa: E402
     to_dense,
     verify_stabilizers,
 )
+from test_pauli import product_action  # noqa: E402
 from test_search import loop_scan_max  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
