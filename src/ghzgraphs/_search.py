@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .defaults import TOLERANCE
 from .errors import CapExceededError
 
-CHUNK = 1 << 18
 BLOCK = 1 << 15
 
 
@@ -43,7 +43,7 @@ def counter_digits(values, num_digits: int, base: int) -> np.ndarray:
     return digits
 
 
-def digit_chunks(num_digits: int, base: int, chunk: int = CHUNK):
+def digit_chunks(num_digits: int, base: int, chunk: int):
     """Yield (start, digits) blocks covering every base**num_digits counter value.
 
     ``digits`` is counter_digits of the block; blocks come in ascending
@@ -69,24 +69,20 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     appends their o translates by 0, col, ..., (o-1) col, so the list holds
     each vector once, at the lowest counter value that reaches it, in
     counter order, and a column already in the span costs nothing.  Growth
-    stops at the first column that would take the list past ``chunk``.  That
-    column is run in blocks of as many of its translates as fit, and the
-    digits above it in a loop over their counter values; each block reads
-    every row's table shifted by the residues of its fixed digits, and
-    argmax on the list gives the lowest counter value of the block.  No
-    array outgrows a few times rows * chunk entries, whatever the base; the
-    residue arithmetic is int64, so chunk * base must stay below 2^63.
+    stops at the first column that would take the list past ``chunk``, and
+    the list takes as many of that column's translates as fit.  One loop
+    then runs, in counter order, over the digits above that column and its
+    moves by that many translates; each block reads every row's table
+    shifted by the residue of its own digits, and argmax on the list gives
+    the lowest counter value of the block.  No array outgrows a few times
+    rows * chunk entries, whatever the base; the residue arithmetic is
+    int64, so chunk * base must stay below 2^63.
 
     A block streams a few arrays of rows * chunk entries, so it runs fastest
     while they stay in a core's L2 cache: the default BLOCK = 2^15 entries
-    keeps seven rows at about 1.8 MB.  The counter blocks of ``graphs``
-    and the action stacks of ``pauli`` use BLOCK too; CHUNK (2^18) bounds
-    only ``lattice_max``'s blocks and ``digit_chunks``' default.  A row
-    whose listed residues are all zero (grown digits and the blocked
-    column's translates alike) but which the block digits shift is constant
-    over a block: it adds its one table entry as a scalar.  Every value is
-    still 0 plus the rows' terms in row order, so the maximum, its witness
-    and its repr do not depend on chunk.
+    keeps seven rows at about 1.8 MB.  Every value is 0 plus the rows' terms
+    in row order, so the maximum, its witness and its repr do not depend on
+    chunk.
     """
     forms = np.asarray(forms, dtype=np.int64) % base
     tables = np.asarray(tables)
@@ -106,50 +102,43 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     if col >= 0:
         step = chunk // size
         vecs = _translates(vecs, forms[:, col], step, base)
-        step_shift = step * forms[:, col] % base
     else:
-        step, order, step_shift = 1, 1, 0
-    high_forms = forms[:, :max(col, 0)].tolist()
-    # a row that no block shifts reads its table once, and a row whose listed
-    # residues are all zero reads one entry per block; the others read their
-    # table shifted by s as a slice of the table written twice, unless that
-    # copy would outgrow the rows * chunk bound
-    still = {r: tables[r][vecs[r]] for r in range(rows) if not forms[r, :col + 1].any()}
-    scalar = {r for r in range(rows) if r not in still and not vecs[r].any()}
+        step = order = 1
+    looped = forms[:, :col + 1].tolist()
+    # a row that vanishes on the looped digits reads its table once; the
+    # others read their table shifted by s as a slice of the table written
+    # twice, unless that copy would outgrow the rows * chunk bound
+    still = {r: tables[r][vecs[r]] for r in range(rows) if not any(looped[r])}
     doubled = np.concatenate([tables, tables], axis=1) if base <= chunk else None
     sums = np.empty(vecs.shape[1], dtype=tables.dtype)
     terms = np.empty_like(sums)
     index = np.empty(vecs.shape[1], dtype=np.int64)
     best = None
-    for top in itertools.product(range(base), repeat=max(col, 0)):
-        shift = np.array([sum(a * x for a, x in zip(row, top)) % base for row in high_forms], dtype=np.int64)
-        for move in range(0, order, step):
-            count = min(step, order - move) * size
-            vals = sums[:count]
-            vals[:] = 0
-            for r in range(rows):
-                s = shift[r]
-                if r in still:
-                    term = still[r][:count]
-                elif r in scalar:
-                    term = tables[r][s]
-                elif doubled is not None:
+    for block in itertools.product(*[range(base)] * col, range(0, order, step)):
+        count = min(step, order - block[-1]) * size
+        vals = sums[:count]
+        vals[:] = 0
+        for r in range(rows):
+            if r in still:
+                term = still[r][:count]
+            else:
+                s = sum(map(operator.mul, looped[r], block)) % base
+                if doubled is not None:
                     # indices are in range; "clip" skips the copy of out that "raise" makes
                     term = np.take(doubled[r, s:s + base], vecs[r, :count], out=terms[:count], mode="clip")
                 else:
                     # residue + shift is below 2 * base, which "wrap" folds back
                     term = np.take(tables[r], np.add(vecs[r, :count], s, out=index[:count]),
                                    out=terms[:count], mode="wrap")
-                vals += term
-            j = int(vals.argmax())
-            if best is None or vals[j] > best:
-                best = vals[j]
-                at = (top, move, j)
-            shift = (shift + step_shift) % base
-    top, move, j = at
-    digits = list(top) + [0] * (num_digits - len(top))
+            vals += term
+        j = int(vals.argmax())
+        if best is None or vals[j] > best:
+            best = vals[j]
+            at = (block, j)
+    block, j = at
+    digits = list(block[:col + 1]) + [0] * (num_digits - col - 1)
     if col >= 0:
-        j, digits[col] = j % size, move + j // size
+        j, digits[col] = j % size, digits[col] + j // size
     for digit, order in grown:
         j, digits[digit] = divmod(j, order)
     return best.item(), tuple(digits)
@@ -165,9 +154,9 @@ def lattice_max(table, num_digits: int, base: int):
     search runs over the C(n + base - 1, n) nondecreasing digit tuples
     instead of the base^n counter values.  Pass 1 evaluates each tuple and
     keeps those within TOLERANCE of the largest value seen so far.  Pass 2
-    visits every distinct arrangement of each kept tuple in lexicographic
-    order, which is counter order, and takes the largest value at the
-    lowest counter value.
+    visits every distinct arrangement of each kept tuple still that near
+    the final maximum in lexicographic order, which is counter order, and
+    takes the largest value at the lowest counter value.
 
     This is exact for terms of magnitude at most 1, as cosines are: any
     order of adding the n + 1 terms lands within (n + 1)^2 2^-53 of their
@@ -182,18 +171,19 @@ def lattice_max(table, num_digits: int, base: int):
     within SEARCH_CAP) and extends them by a digit to the (n-1)-digit
     prefixes one block of rows at a time.  The last digit runs from the
     prefix's last digit to base - 1, so a block reads it as slices of the
-    table and of the table written twice; no block holds more than CHUNK
-    values.  A block of prefixes with different last digits starts from
-    the lowest, so it also evaluates a few unsorted tuples: they are
-    counter values too, and pass 2 takes only the sorted ones.
+    table and of the table written twice; no block holds more than BLOCK
+    values, scan_max's default block.  A block of prefixes with different
+    last digits starts from the lowest, so it also evaluates a few unsorted
+    tuples: they are counter values too, and pass 2 takes only the sorted
+    ones.
     """
     table = np.asarray(table, dtype=np.float64)
     n, d = num_digits, base
     if n == 1:
         # each tuple is its only arrangement, and the blocks run in counter order
         found = None
-        for c0 in range(0, d, CHUNK):
-            vals = (0.0 + table[c0:c0 + CHUNK]) - table[c0:c0 + CHUNK]
+        for c0 in range(0, d, BLOCK):
+            vals = (0.0 + table[c0:c0 + BLOCK]) - table[c0:c0 + BLOCK]
             j = int(vals.argmax())
             found = _better(found, (vals[j], (c0 + j,)))
         return found[0].item(), found[1]
@@ -203,17 +193,17 @@ def lattice_max(table, num_digits: int, base: int):
     # row s reads the table from residue s on, wrapping
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([table, table]), d)
     best = -np.inf
-    found = None
+    kept = []  # (maximum, sorted tuples near it) of each block that came near the best so far
     r0 = 0
     while r0 < bounds[-1]:
         lo = int(np.searchsorted(bounds, r0, side="right"))
-        rows = np.arange(r0, min(bounds[-1], r0 + max(1, CHUNK // (d - lo))))
+        rows = np.arange(r0, min(bounds[-1], r0 + max(1, BLOCK // (d - lo))))
         last = np.searchsorted(bounds, rows, side="right")
         parent = rows - firsts[last]
         starts = partial[parent] + table[last]
         sums = (residues[parent] + last) % d
-        for c0 in range(lo, d, CHUNK):
-            width = min(d - c0, CHUNK)
+        for c0 in range(lo, d, BLOCK):
+            width = min(d - c0, BLOCK)
             vals = starts[:, None] + table[c0:c0 + width]
             vals -= windows[(sums + c0) % d, :width]
             top = vals.max()
@@ -223,9 +213,9 @@ def lattice_max(table, num_digits: int, base: int):
                 cols += c0
                 ordered = cols >= last[hit]
                 hit, cols = hit[ordered], cols[ordered]
-                tuples = np.column_stack([digits[parent[hit]], last[hit], cols])
-                found = _better(found, _arrangements_max(tuples, table, d))
+                kept.append((top, np.column_stack([digits[parent[hit]], last[hit], cols])))
         r0 = rows[-1] + 1
+    found = _arrangements_max(np.concatenate([t for top, t in kept if top >= best - TOLERANCE]), table, d)
     return found[0].item(), found[1]
 
 

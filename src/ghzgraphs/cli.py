@@ -4,7 +4,8 @@ Output is deterministic: fixed field order, floats rounded to 12 significant
 digits, and no timing fields, so identical inputs produce byte-identical
 reports.  Exit codes: 0 success/true, 1 predicate false, 2 input error
 (including graph files with n > 4096 or d >= 2^63), 3 resource cap
-exceeded, 4 internal self-check failed.
+exceeded, 4 internal self-check failed or any other uncaught exception
+(its traceback goes to stderr), so a crash never reads as an answer.
 
 Each handler imports the modules it calls, so ``--help`` and usage errors
 load no numpy, and ``check`` loads no dense or bounds code.
@@ -285,6 +286,11 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

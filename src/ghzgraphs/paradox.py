@@ -38,6 +38,8 @@ class ParadoxSystem:
         r = np.array(rhs, dtype=np.int64) % self.d
         if c.ndim != 2 or c.shape[1] != 2 * self.n or c.shape[0] != r.size:
             raise ValueError(f"coefficient block {c.shape} does not match {r.size} rows over {2 * self.n} variables")
+        if r.size == 0:
+            raise ValueError("a paradox system needs a final row")
         c.setflags(write=False)
         r.setflags(write=False)
         self.coeffs = c

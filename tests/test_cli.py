@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzgraphs import bounds, cli, paradox, states
+from ghzgraphs import bounds, cli, graphs, paradox, states
 from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
 from ghzgraphs.pauli import PauliWord
 
@@ -335,6 +335,18 @@ class TestDeterminism:
 
 
 class TestInvariantFailure:
+    def test_unexpected_exception_exits_four_not_predicate_false(self, triangle_file, monkeypatch, capsys):
+        # exit 1 from check means "not GHZ", so a crash must not end with Python's default exit 1
+        def crash(g):
+            raise RuntimeError("classification crashed")
+
+        monkeypatch.setattr(graphs, "classify_ghz", crash)
+        assert cli.main(["check", triangle_file]) == cli.EXIT_INVARIANT == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith("RuntimeError: classification crashed\n")
+
     def test_failed_self_check_exits_four(self, triangle_file, monkeypatch, capsys):
         monkeypatch.setattr(bounds, "_sparse_product",
                             lambda d, n, entries: (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0))

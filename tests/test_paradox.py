@@ -59,6 +59,17 @@ class TestConstraintSystem:
         system = constraint_system(triangle(2))
         assert list(system.satisfied_rows([0] * 6)) == [True, True, True, False]
 
+    # check_infeasible_algebraic reads coeffs[-1] and with_final_rhs writes
+    # rhs[-1]: on a system without rows both failed with a bare IndexError
+    @pytest.mark.parametrize("call", [
+        lambda system: system,
+        check_infeasible_algebraic,
+        lambda system: system.with_final_rhs(1),
+    ], ids=["constructor", "algebraic", "final rhs"])
+    def test_system_without_rows_rejected(self, call):
+        with pytest.raises(ValueError, match="needs a final row"):
+            call(ParadoxSystem(2, 2, np.zeros((0, 4)), []))
+
 
 class TestAlgebraicCertificate:
     def test_triangle_contradiction(self):

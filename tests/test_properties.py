@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghzgraphs import _search, bounds, paradox, pauli  # noqa: E402
-from ghzgraphs._search import BLOCK, CHUNK, lattice_max, scan_max  # noqa: E402
+from ghzgraphs._search import BLOCK, lattice_max, scan_max  # noqa: E402
 from ghzgraphs.bounds import _bell_terms, _flip_delta, _ks_rows, bell_classical_max, bell_quantum, ks_quantum  # noqa: E402
 from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
@@ -724,7 +724,7 @@ def scan_cases(draw):
     else:
         entry = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, -1.25])
         tables = np.array([[draw(entry) for _ in range(base)] for _ in range(rows)])
-    chunk = draw(st.integers(1, 40) | st.just(CHUNK))
+    chunk = draw(st.integers(1, 40) | st.just(1 << 18))
     return forms, tables, base, chunk
 
 
@@ -766,7 +766,7 @@ def blocked_scan_cases(draw):
 @given(blocked_scan_cases())
 def test_scan_max_does_not_depend_on_the_block_size(case):
     forms, tables, base = case
-    want = scan_max(forms, tables, base, chunk=CHUNK)
+    want = scan_max(forms, tables, base, chunk=1 << 18)
     for chunk in (1, 16, 2**10, BLOCK):
         got = scan_max(forms, tables, base, chunk=chunk)
         assert got == want
@@ -782,7 +782,7 @@ def lattice_cases(draw):
     n = draw(st.integers(1, 5))
     entry = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 0.7, -1.0, 1.0])
     table = np.array([draw(entry) for _ in range(base)])
-    chunk = draw(st.integers(1, 40) | st.just(CHUNK))
+    chunk = draw(st.integers(1, 40) | st.just(1 << 18))
     return table, n, base, chunk
 
 
@@ -792,6 +792,6 @@ def test_lattice_max_matches_scan(case):
     table, n, base, chunk = case
     forms = np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     want = scan_max(forms, [table] * n + [-table], base)
-    with patch.object(_search, "CHUNK", chunk):
+    with patch.object(_search, "BLOCK", chunk):
         got = lattice_max(table, n, base)
     assert repr(got) == repr(want)

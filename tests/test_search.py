@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ghzgraphs import _search, bounds, paradox
-from ghzgraphs._search import BLOCK, CHUNK, counter_digits, digit_chunks, scan_max, search_size
+from ghzgraphs._search import BLOCK, counter_digits, digit_chunks, scan_max, search_size
 from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_brute
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
@@ -95,7 +95,7 @@ class TestScanMax:
         assert scan_max(forms, tables, 4, chunk=4) == (9, (3, 3, 3))
 
 
-def assert_matches_loop(forms, tables, base, chunk=CHUNK):
+def assert_matches_loop(forms, tables, base, chunk=1 << 18):
     got = scan_max(forms, tables, base, chunk=chunk)
     want = loop_scan_max(forms, tables, base)
     assert got == want
@@ -120,7 +120,7 @@ class TestDistinctResidues:
     """Forms whose residue vectors repeat, so that the kernel lists fewer
     vectors than counter values, against the plain counter loop."""
 
-    @pytest.mark.parametrize("chunk", [1, 4, 7, 64, CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 4, 7, 64, 1 << 18])
     @pytest.mark.parametrize("scan", ["paradox", "bell", "ks"])
     def test_scans_with_a_row_sum_of_others(self, monkeypatch, scan, chunk):
         # on a GHZ graph the paradox system's final row, Bell's collective
@@ -133,7 +133,7 @@ class TestDistinctResidues:
         forms, tables, base = captured_scan(monkeypatch, module, call)
         assert_matches_loop(forms, tables, base, chunk)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 12, CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 12, 1 << 18])
     @pytest.mark.parametrize("seed", range(3))
     def test_orders_that_properly_divide_the_base(self, seed, chunk):
         rng = np.random.default_rng(seed)
@@ -141,13 +141,13 @@ class TestDistinctResidues:
         tables = rng.normal(size=(3, 6))
         assert_matches_loop(forms, tables, 6, chunk)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 16, CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 1 << 18])
     def test_zero_column_and_zero_row(self, chunk):
         forms = np.array([[1, 0, 2, 1], [0, 0, 0, 0], [3, 0, 1, 1]])
         tables = np.array([[0.5, -1.0, 2.0, 0.25], [7.0, 1.0, -3.0, 0.0], [0.1, 0.2, 0.3, -0.4]])
         assert_matches_loop(forms, tables, 4, chunk)
 
-    @pytest.mark.parametrize("chunk", [2, 9, CHUNK])
+    @pytest.mark.parametrize("chunk", [2, 9, 1 << 18])
     def test_negative_zeros_and_ties(self, chunk):
         forms = np.array([[1, 2, 0], [2, 4, 0], [3, 0, 3]])
         tables = np.array([[-0.0, -0.0, 0.0, -0.0, -0.0, -0.0]] * 3)
@@ -195,15 +195,15 @@ class TestDistinctResidues:
     @pytest.mark.parametrize("n,d", [(6, 12), (7, 8)])
     def test_lattice_scan_past_one_block(self, n, d):
         # 12^6 and 8^7 distinct residue vectors: blocks of 2^10, BLOCK and
-        # 2^16 entries against a CHUNK list of 12^5 or 8^6 vectors
+        # 2^16 entries against a 2^18 list of 12^5 or 8^6 vectors
         forms, tables = lattice_scan_case(n, d)
-        want = repr(scan_max(forms, tables, d, chunk=CHUNK))
+        want = repr(scan_max(forms, tables, d, chunk=1 << 18))
         for chunk in (2**10, BLOCK, 2**16):
             assert repr(scan_max(forms, tables, d, chunk=chunk)) == want
 
     def test_lattice_blocks_stay_small(self):
         # the 12^6 lattice scan lists 12^4 residue vectors per block at the
-        # default BLOCK; at CHUNK it held seven rows of 12^5 (28.5 MB peak)
+        # default BLOCK; at 2^18 it held seven rows of 12^5 (28.5 MB peak)
         forms, tables = lattice_scan_case(6, 12)
         scan_max(*lattice_scan_case(2, 4), 4)
         tracemalloc.start()
@@ -246,7 +246,7 @@ class TestLatticeMax:
     def test_does_not_depend_on_the_block_size(self, n, d, chunk, monkeypatch):
         # blocks of one prefix row, and rows split into column blocks
         want = repr(scan_max(*lattice_scan_case(n, d), d))
-        monkeypatch.setattr(_search, "CHUNK", chunk)
+        monkeypatch.setattr(_search, "BLOCK", chunk)
         rep = lattice_bound_brute(n, d)
         assert repr((rep.classical_bound, tuple(rep.witness["exponents"]))) == want
 
@@ -276,7 +276,7 @@ class TestLatticeMax:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * CHUNK * 8
+        assert peak < 4 * BLOCK * 8
 
 
 class TestPinnedScans:
