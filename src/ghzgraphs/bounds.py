@@ -86,7 +86,7 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> f
     d, h = g.d, g.d // 2
     a = np.array(assignment.a_exp, dtype=np.int64)
     b = np.array(assignment.b_exp, dtype=np.int64)
-    site_exp = (a + g.adj @ b) % d
+    site_exp = (a + g.adj.astype(np.int64) @ b) % d
     coll_exp = int(a.sum() % d)
 
     value = float((coll_exp == h) - (coll_exp == 0)
@@ -113,7 +113,7 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     space = search_size("Bell search", d, 2 * n, cap)
     # rows over (a, b): the n site rows a_v + (adj b)_v, then the collective
     # row sum(a), whose table enters negated
-    forms = np.vstack([np.hstack([np.eye(n, dtype=np.int64), g.adj]), np.repeat([1, 0], n)])
+    forms = np.vstack([np.hstack([np.eye(n, dtype=np.int64), g.adj], dtype=np.int64), np.repeat([1, 0], n)])
     delta = _flip_delta(d)
     best, witness = scan_max(forms, [delta] * n + [-delta], d)
     return BoundReport(
@@ -329,7 +329,7 @@ def _ks_direct_max(g: WeightedGraph) -> tuple[float, dict]:
     eye = np.eye(n, dtype=np.int64)
     # rows over (x, z, s, t): the n stabilizer rows x_v + (adj z)_v - s_v, the
     # shift row sum(x) - t, then the product row sum(s) - t, which enters negated
-    forms = np.vstack([np.hstack([eye, g.adj, -eye, np.zeros((n, 1), dtype=np.int64)]),
+    forms = np.vstack([np.hstack([eye, g.adj, -eye, np.zeros((n, 1), dtype=np.int64)], dtype=np.int64),
                        np.repeat([1, 0, 0, -1], [n, n, n, 1]),
                        np.repeat([0, 0, 1, -1], [n, n, n, 1])])
     best, col = scan_max(forms, [table] * (n + 1) + [-table], d)

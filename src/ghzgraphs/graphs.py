@@ -26,11 +26,35 @@ from .errors import CapExceededError, GraphFormatError, NotGhzGraphError
 ISO_DEDUP_MAX_VERTICES = 8
 
 
+def _adj_dtype(d: int) -> np.dtype:
+    """The narrowest signed integer type that holds d itself.
+
+    Signed, so that sums upcast to int64 and mix with int64 as int64 (an
+    unsigned sum is uint64, which mixes with int64 as float64); holding d,
+    so that ``x % d`` and ``np.gcd(x, d)`` take the Python int d as a scalar
+    of the array's own type (NEP 50 raises OverflowError otherwise).
+    """
+    if d < 2**7:
+        return np.dtype(np.int8)
+    if d < 2**15:
+        return np.dtype(np.int16)
+    if d < 2**31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
 class WeightedGraph:
     """Immutable Z_d-weighted simple graph.
 
-    Weights are stored reduced into [0, d); the adjacency array is locked
-    after construction so instances can be shared freely.
+    Weights are stored reduced into [0, d), in ``adj``, an n x n array of
+    the narrowest signed type among int8, int16, int32 and int64 that holds
+    d (int8 up to d = 127, int16 up to 32767, int32 up to 2^31 - 1).  Sums
+    and products of weights are formed in int64 where they are used.  Integer
+    input is reduced mod d in its own type (widened first when it is
+    narrower) and then narrowed; any other input goes through int64 and
+    must hold integers (integral floats are accepted, 1.7 raises
+    ValueError).  The array is locked after construction so instances can
+    be shared freely.
     """
 
     __slots__ = ("d", "n", "adj")
@@ -39,13 +63,21 @@ class WeightedGraph:
         d = int(d)
         if d < 2:
             raise ValueError(f"modulus must be at least 2, got d={d}")
-        a = np.array(adj, dtype=np.int64)
+        a = np.asarray(adj)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
-        a %= d
-        if not np.array_equal(a, a.T):
+        dtype = _adj_dtype(d)
+        if a.dtype.kind not in "iu":
+            wide = np.array(adj, dtype=np.int64)  # from adj itself, so an int past int64 overflows
+            if not np.array_equal(wide, a):
+                raise ValueError("adjacency weights must be integers")
+            a = wide
+        if a.dtype.itemsize < dtype.itemsize:  # d may not fit a narrower type
+            a = a.astype(dtype)
+        a = (a % d).astype(dtype, copy=False)  # any other integer type holds d: reduce there, then narrow
+        if not (a == a.T).all():
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diagonal(a) != 0):
+        if a.diagonal().any():
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
         # bounds the int64 degree and weight sums, each below n^2 times the largest
         # weight; weights are below d, so only a wide d needs the weights read
@@ -61,12 +93,13 @@ class WeightedGraph:
     @classmethod
     def from_edges(cls, d: int, n: int, edges) -> "WeightedGraph":
         """Build from (u, v, w) triples; unnamed pairs get weight 0."""
-        adj = np.zeros((n, n), dtype=np.int64)
+        adj = np.zeros((n, n), dtype=_adj_dtype(d))
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-            adj[u, v] = w
-            adj[v, u] = w
+            if w != int(w):
+                raise ValueError(f"edge ({u}, {v}) has a non-integer weight {w!r}")
+            adj[u, v] = adj[v, u] = int(w) % d
         return cls(d, adj)
 
     def weight(self, u: int, v: int) -> int:
@@ -97,12 +130,12 @@ def degree(g: WeightedGraph, v: int) -> int:
     """Un-reduced degree of v: the plain integer sum of its incident weights."""
     if not 0 <= v < g.n:
         raise IndexError(f"vertex {v} out of range for n={g.n}")
-    return int(g.adj[:, v].sum())
+    return int(g.adj[:, v].sum(dtype=np.int64))
 
 
 def total_weight(g: WeightedGraph) -> int:
     """Un-reduced sum of all edge weights (half the full double sum)."""
-    return int(g.adj.sum()) // 2
+    return int(g.adj.sum(dtype=np.int64)) // 2
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -170,8 +203,9 @@ def _ghz_tests(g: WeightedGraph) -> tuple[bool, bool, bool, tuple[str, ...]]:
     divisible by d, so odd_modulus never fails alone.
     """
     connected = is_connected(g)
-    degrees_divisible = bool((g.adj.sum(axis=0) % g.d == 0).all())
-    weight_nondivisible = total_weight(g) % g.d != 0
+    degrees = g.adj.sum(axis=0, dtype=np.int64)
+    degrees_divisible = bool((degrees % g.d == 0).all())
+    weight_nondivisible = int(degrees.sum()) // 2 % g.d != 0
     failed = {"odd_modulus": g.d % 2 == 1, "not_connected": not connected,
               "degree_not_divisible": not degrees_divisible, "total_weight_divisible": not weight_nondivisible}
     return connected, degrees_divisible, weight_nondivisible, tuple(k for k, bad in failed.items() if bad)
@@ -184,7 +218,7 @@ def classify_ghz(g: WeightedGraph) -> GhzReport:
     strict_hits = tuple(_coprime_pair(g.adj[v], g.d, v, strict=True) for v in range(g.n))
     return GhzReport(
         connected=connected,
-        degrees=tuple(g.adj.sum(axis=0).tolist()),
+        degrees=tuple(g.adj.sum(axis=0, dtype=np.int64).tolist()),
         total_weight=total_weight(g),
         degrees_divisible=degrees_divisible,
         weight_nondivisible=weight_nondivisible,
@@ -233,7 +267,7 @@ def _ghz_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
     connectivity test: the set reached from vertex 0 along nonzero edges
     grows until it stops growing.
     """
-    degs = blocks.sum(axis=0)
+    degs = blocks.sum(axis=0, dtype=np.int64)
     ok = (degs % d == 0).all(axis=0) & (degs.sum(axis=0) // 2 % d != 0)
     hits = np.flatnonzero(ok)
     edge = blocks[:, :, hits] != 0
@@ -280,9 +314,10 @@ def find_ghz_subgraphs(g: WeightedGraph, min_size: int = 3, max_size: int | None
 def graph_from_code(n: int, d: int, code) -> WeightedGraph:
     """Graph whose edge slots (0,1),(0,2),...,(n-2,n-1) carry the given weights."""
     us, vs = np.triu_indices(n, 1)
-    if np.shape(code) != us.shape:
-        raise ValueError(f"a code for n={n} has {us.size} edge weights, got shape {np.shape(code)}")
-    adj = np.zeros((n, n), dtype=np.int64)
+    code = np.asarray(code)
+    if code.shape != us.shape:
+        raise ValueError(f"a code for n={n} has {us.size} edge weights, got shape {code.shape}")
+    adj = np.zeros((n, n), dtype=code.dtype)  # the code's own type, which WeightedGraph reduces and narrows
     adj[us, vs] = adj[vs, us] = code
     return WeightedGraph(d, adj)
 
@@ -409,7 +444,7 @@ def graph_from_dict(obj) -> WeightedGraph:
     if d >= 2**63:  # d and every weight must fit the int64 adjacency
         raise GraphFormatError(f"field 'd' must be below 2^63, got a {d.bit_length()}-bit integer")
     n = _require_int(obj, "n", 1)
-    if n > DENSE_CAP:  # bounds the n x n adjacency matrix at 128 MiB
+    if n > DENSE_CAP:  # bounds the n x n adjacency matrix at 16 MiB per byte of its dtype
         raise GraphFormatError(f"field 'n' must be at most {DENSE_CAP}, got {n}")
     # bounds the int64 sums of un-reduced weights: the adjacency sum, below
     # n^2 (d-1), and a z.x dot of reduced exponents, below n (d-1)^2
@@ -419,9 +454,9 @@ def graph_from_dict(obj) -> WeightedGraph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of [u, v, w] triples")
-    # the narrowest dtype that holds every weight (0 < w < d); WeightedGraph
-    # makes its own int64 copy, so this scratch array stays small
-    adj = np.zeros((n, n), dtype=np.min_scalar_type(d - 1))
+    # the adjacency's own dtype, which holds d and so every weight (0 < w < d);
+    # WeightedGraph copies it once, reducing in place
+    adj = np.zeros((n, n), dtype=_adj_dtype(d))
     seen = set()
     for k, item in enumerate(edges):
         ok = isinstance(item, list) and len(item) == 3 and all(

@@ -90,7 +90,7 @@ class InfeasibilityCertificate:
 def _paradox_rows(g: WeightedGraph, vs: list[int]) -> ParadoxSystem:
     """Stabilizer rows of the vertices vs over all 2n variables, then their
     sum with right side d/2."""
-    rows = np.hstack([np.eye(g.n, dtype=np.int64)[vs], g.adj[:, vs].T])
+    rows = np.hstack([np.eye(g.n, dtype=np.int64)[vs], g.adj[:, vs].T], dtype=np.int64)
     return ParadoxSystem(g.d, g.n, np.vstack([rows, rows.sum(axis=0)]), [0] * len(vs) + [g.d // 2])
 
 

@@ -138,17 +138,17 @@ def vertex_stabilizer(g: WeightedGraph, v: int) -> PauliWord:
 def _stabilizer_entry(g: WeightedGraph, v: int) -> tuple:
     """``vertex_stabilizer(g, v)`` as a ``_sparse_product`` entry: X on v and
     the weights of v's edges as Z on its neighbours (adj is symmetric, so the
-    contiguous row v serves as column v)."""
+    contiguous row v serves as column v), as int64 like every other exponent."""
     cols = np.append(np.flatnonzero(g.adj[v]), v)
-    return cols, (cols == v).astype(np.int64), g.adj[v, cols], 0
+    return cols, (cols == v).astype(np.int64), g.adj[v, cols].astype(np.int64), 0
 
 
 def _stabilizer_stack(g: WeightedGraph, last_z) -> tuple:
     """The stack (x, z, phase) of the n vertex stabilizers
     ``vertex_stabilizer(g, v)``, then of X_V prod_v Z_v^last_z[v]."""
     n = g.n
-    return (np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)]), np.vstack([g.adj.T, last_z]),
-            np.zeros(n + 1, dtype=np.int64))
+    return (np.vstack([np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64)]),
+            np.vstack([g.adj.T, last_z], dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
 
 
 def _dagger_entry(d: int, entry: tuple) -> tuple:

@@ -140,7 +140,7 @@ def verify_stabilizers(g: WeightedGraph) -> StabilizerReport:
     """
     psi = build_state(g)
     d, n = g.d, g.n
-    degrees, weight = g.adj.sum(axis=0), total_weight(g)
+    degrees, weight = g.adj.sum(axis=0, dtype=np.int64), total_weight(g)
 
     # the vertex stabilizers, then X_V prod_v Z_v^D_v
     *vertex_exps, flip_exponent = _stack_exponents(_stabilizer_stack(g, degrees), psi)

@@ -109,6 +109,44 @@ class TestBasics:
         g = WeightedGraph(4, [[0, 5], [5, 0]])
         assert g.weight(0, 1) == 1
 
+    @pytest.mark.parametrize("d", [5, 127, 128, 200, 256])
+    def test_input_types_build_equal_graphs(self, d):
+        # list, int8, uint8 and int64 input reduce mod d to one graph: at d <= 127 int8 and uint8
+        # are reduced in their own type, above it they are widened to int16 first (d = 256 fits
+        # neither), and negative int8 weights wrap into [0, d)
+        weights = [[0, 5, 120], [5, 0, 127], [120, 127, 0]]
+        reference = WeightedGraph.from_edges(d, 3, [(0, 1, 5), (0, 2, 120), (1, 2, 127)])
+        for adj in [weights, *(np.array(weights, dtype=t) for t in (np.int8, np.uint8, np.int64))]:
+            g = WeightedGraph(d, adj)
+            assert g == reference and hash(g) == hash(reference) and g.adj.dtype == reference.adj.dtype
+        signed = WeightedGraph(d, np.array([[0, -5, 120], [-5, 0, -1], [120, -1, 0]], dtype=np.int8))
+        assert signed.edges() == [(u, v, w % d) for u, v, w in [(0, 1, -5), (0, 2, 120), (1, 2, -1)] if w % d]
+
+    def test_wide_weights_reduced_before_narrowing(self):
+        # d = 5 stores int8; 301 and -1001 would wrap to 45 and 23 if narrowed first
+        assert WeightedGraph(5, [[0, 301], [301, 0]]).weight(0, 1) == 1
+        assert WeightedGraph(5, np.array([[0, -1001], [-1001, 0]])).weight(0, 1) == 4
+        assert WeightedGraph(5, np.array([[0, 2**40 + 1], [2**40 + 1, 0]], dtype=np.uint64)).weight(0, 1) == 2
+        assert WeightedGraph.from_edges(5, 2, [(0, 1, 301)]).weight(0, 1) == 1
+        assert WeightedGraph.from_edges(5, 2, [(0, 1, -1001)]).weight(0, 1) == 4
+
+    def test_fractional_weights_refused(self):
+        with pytest.raises(ValueError, match="weights must be integers"):
+            WeightedGraph(4, [[0, 1.7], [1.7, 0]])
+        with pytest.raises(ValueError, match="weights must be integers"):
+            WeightedGraph(4, np.array([[0, 0.5], [0.5, 0]], dtype=np.float32))
+        with pytest.raises(ValueError, match="non-integer weight 2.5"):
+            WeightedGraph.from_edges(4, 2, [(0, 1, 2.5)])
+        # a Python int past int64 overflows as before, though np.asarray would read it as a float
+        with pytest.raises(OverflowError):
+            WeightedGraph(5, [[0, 2**63 + 1], [2**63 + 1, 0]])
+        # integral floats are integers
+        assert WeightedGraph(4, [[0, 6.0], [6.0, 0]]) == WeightedGraph(4, [[0, 2], [2, 0]])
+        assert WeightedGraph.from_edges(4, 2, [(0, 1, 3.0)]).edges() == [(0, 1, 3)]
+        assert graph_from_code(2, 4, [3.0]).edges() == [(0, 1, 3)]
+        with pytest.raises(ValueError, match="weights must be integers"):
+            graph_from_code(2, 4, [1.25])
+
     def test_invalid_adjacency(self):
         with pytest.raises(ValueError):
             WeightedGraph(2, [[0, 1], [0, 0]])  # asymmetric
@@ -473,17 +511,31 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="must be below 2\\^63"):
             graph_from_dict({"d": top + 2, "n": n, "edges": []})
 
-    @pytest.mark.parametrize("n, d", [(3, 2), (4, 255), (4, 256), (5, 257), (6, 2**16), (6, 2**16 + 1),
-                                      (2, 2**31), (3, 1753413057)])
+    @pytest.mark.parametrize("n, d", [(3, 2), (3, 127), (3, 128), (4, 255), (4, 256), (5, 257), (4, 32767),
+                                      (4, 32768), (6, 2**16), (6, 2**16 + 1), (3, 1753413057), (2, 2**31 - 1),
+                                      (2, 2**31), (2, 2**63 - 1)])
     def test_narrow_scratch_builds_the_int64_adjacency(self, n, d):
-        # graph_from_dict fills the narrowest dtype that holds d - 1; (2, 2^31) and
-        # (3, 1753413057) are the widest moduli their n admits, so d - 1 fills 31 bits
-        edges = [[u, v, (d - 1) if (u + v) % 2 else 1 + (u * n + v) % (d - 1)]
+        # adj takes the narrowest signed type that holds d itself: int8 to d = 127, int16 to
+        # 32767, int32 to 2^31 - 1, else int64.  graph_from_dict and from_edges fill their scratch
+        # in that type, which an unsigned scratch of d - 1 bits could not do at d = 256 or 65536.
+        # (2, 2^31) is the widest file modulus with an edge; 2^63 - 1 is past the file's limit
+        want = {127: np.int8, 32767: np.int16, 2**31 - 1: np.int32, 2**63 - 1: np.int64}
+        dtype = want[min(top for top in want if d <= top)]
+        heavy = min(d - 1, (2**63 - 1) // n**2)  # the heaviest weight WeightedGraph takes at n
+        edges = [[u, v, heavy if (u + v) % 2 else 1 + (u * n + v) % heavy]
                  for u, v in itertools.combinations(range(n), 2)]
-        g = graph_from_dict({"d": d, "n": n, "edges": edges})
-        assert g.adj.dtype == np.int64
-        assert np.array_equal(g.adj, WeightedGraph.from_edges(d, n, edges).adj)
-        assert graph_to_dict(g)["edges"] == edges
+        built = [WeightedGraph.from_edges(d, n, edges)]
+        if n * (d - 1) * max(n, d - 1) < 2**63:
+            built.append(graph_from_dict({"d": d, "n": n, "edges": edges}))
+        column_sums = [sum(w for u, v, w in edges if x in (u, v)) for x in range(n)]
+        for g in built:
+            assert g.adj.dtype == dtype
+            assert graph_to_dict(g)["edges"] == edges
+            # the sums are int64 whatever adj's type, so weights near 2^31 do not wrap int32
+            assert g.adj.sum(axis=0).dtype == g.adj.sum().dtype == np.int64
+            assert [degree(g, v) for v in range(n)] == list(classify_ghz(g).degrees) == column_sums
+            assert total_weight(g) == sum(w for *_, w in edges)
+        assert built[0] == built[-1]
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
