@@ -20,9 +20,9 @@ _OWNERS = {
     ), "bounds"),
     **dict.fromkeys(("CapExceededError", "GraphFormatError", "InvariantError", "NotGhzGraphError"), "errors"),
     **dict.fromkeys((
-        "GhzReport", "WeightedGraph", "canonical_code", "classify_ghz", "complete_4j3", "degree",
-        "enumerate_ghz_graphs", "find_ghz_subgraphs", "graph_from_dict", "graph_to_dict", "is_connected", "k4",
-        "load_graph", "odd_loop", "save_graph", "subgraph", "total_weight", "triangle",
+        "GhzReport", "WeightedGraph", "canonical_code", "classify_ghz", "complete_4j3", "enumerate_ghz_graphs",
+        "find_ghz_subgraphs", "graph_from_dict", "graph_to_dict", "is_connected", "k4", "load_graph", "odd_loop",
+        "save_graph", "subgraph", "total_weight", "triangle",
     ), "graphs"),
     **dict.fromkeys((
         "Genuineness", "InfeasibilityCertificate", "MerminRow", "MerminTable", "ParadoxSystem",
@@ -30,12 +30,10 @@ _OWNERS = {
         "mermin_table", "subgraph_paradox",
     ), "paradox"),
     **dict.fromkeys((
-        "PauliWord", "commutation_phase", "dagger", "multiply", "power", "render_word", "stabilizer_product",
-        "to_matrix", "vertex_stabilizer",
+        "PauliWord", "dagger", "render_word", "stabilizer_product", "to_matrix", "vertex_stabilizer",
     ), "pauli"),
     **dict.fromkeys((
-        "PhaseState", "StabilizerReport", "apply_word", "build_state", "eigenvalue_of", "joint_plus_one_dimension",
-        "to_dense", "verify_stabilizers",
+        "PhaseState", "StabilizerReport", "build_state", "eigenvalue_of", "verify_stabilizers",
     ), "states"),
 }
 

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
-from ._search import lattice_max, scan_max, search_size
+from ._search import BLOCK, lattice_max, scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
 from .errors import CapExceededError, InvariantError
 from .graphs import WeightedGraph, require_ghz
@@ -75,10 +75,13 @@ def _flip_delta(d: int) -> np.ndarray:
 def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> float:
     """Local-realistic value of the Bell expression for one assignment.
 
-    Both forms are evaluated and must agree: the Kronecker-delta form
-    (+1 for each site relation holding, -1 when it lands on the flip value,
-    reversed for the collective product) and the defining odd-power cosine
-    series, whose partial sums over each exponent collapse to those deltas.
+    The value is the Kronecker-delta form: +1 for each site relation
+    holding, -1 when it lands on the flip value, reversed for the collective
+    product.  While the defining odd-power cosine series, whose partial sums
+    over each exponent collapse to those deltas, has at most ``SEARCH_CAP``
+    terms ((n + 1) d/2), it is summed too, in blocks of at most ``BLOCK``
+    terms, and must agree.  Above that the delta form is returned without
+    the series check.
     """
     _require_even(g.d, "Bell expression")
     if assignment.d != g.d or assignment.n != g.n:
@@ -92,11 +95,17 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> f
     value = float((coll_exp == h) - (coll_exp == 0)
                   + sum(int(e == 0) - int(e == h) for e in site_exp))
 
-    theta = 2 * math.pi / d
+    exps = np.append(site_exp, coll_exp)
+    if exps.size * h > SEARCH_CAP:
+        return value
+    signs = np.append(np.ones(g.n), -1.0)
+    step = max(1, BLOCK // exps.size)
     series = 0.0
-    for k in range(1, d, 2):
-        series += (2 / d) * (sum(math.cos(k * theta * int(e)) for e in site_exp)
-                             - math.cos(k * theta * coll_exp))
+    for start in range(0, h, step):
+        # k e reduced mod d, exact in int64 while d is within the cap, keeps each angle below 2 pi
+        odd = np.arange(2 * start + 1, 2 * min(start + step, h), 2)
+        series += float(np.cos(2 * math.pi / d * (odd[:, None] * exps % d)).sum(axis=0) @ signs)
+    series *= 2 / d
     if abs(series - value) > TOLERANCE:
         raise InvariantError(f"delta form {value} and cosine series {series} disagree")
     return value
@@ -127,7 +136,7 @@ def bell_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
 def _bell_terms(g: WeightedGraph) -> tuple:
     """The Bell operator's term words as one stack: every odd power 1, 3, ...
     below d of each vertex stabilizer X_v prod_u Z_u^adj[u][v], then of X_V,
-    built at once by ``power``'s closed form."""
+    built at once by ``_power_stack``'s closed form."""
     d, n = g.d, g.n
     bases = _stabilizer_stack(g, np.zeros(n, dtype=np.int64))
     powers = np.arange(1, d, 2)
@@ -151,7 +160,7 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
 
     When d^n <= DENSE_CAP an exact oracle checks the value without the word
     identity.  Its (n + 1) d/2 term words, every odd power of every
-    stabilizer and of X_V, are built as one stack by ``power``'s closed form,
+    stabilizer and of X_V, are built as one stack by ``_power_stack``,
     and measured on the exact state with one gather per stack of actions.
     Expectation: each term word's eigen-exponent e is worth delta(e) =
     [e = 0] - [e = d/2], summed as integers.  Hermiticity: w^d = I for every
@@ -405,7 +414,7 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     and its reduced sums are read directly.  When d^n <= DENSE_CAP every
     row's factors are put into one stack, and each row is composed again,
     right to left over its own slice of the stack, as exact monomial
-    actions on the basis, without ``multiply``; each product must be the
+    actions on the basis, with no word formed; each product must be the
     identity permutation carrying the expected phase on every basis state.
     Above DENSE_CAP the rows are made one at a time as they are reduced, so
     that only one row's entries are alive at once.

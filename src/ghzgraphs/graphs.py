@@ -126,13 +126,6 @@ class WeightedGraph:
         return f"WeightedGraph(d={self.d}, n={self.n}, edges={self.edges()})"
 
 
-def degree(g: WeightedGraph, v: int) -> int:
-    """Un-reduced degree of v: the plain integer sum of its incident weights."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range for n={g.n}")
-    return int(g.adj[:, v].sum(dtype=np.int64))
-
-
 def total_weight(g: WeightedGraph) -> int:
     """Un-reduced sum of all edge weights (half the full double sum)."""
     return int(g.adj.sum(dtype=np.int64)) // 2
@@ -196,30 +189,34 @@ def _coprime_pair(weights, d: int, skip: int, strict: bool) -> tuple[int, int] |
     return None
 
 
-def _ghz_tests(g: WeightedGraph) -> tuple[bool, bool, bool, tuple[str, ...]]:
-    """The tests of the GHZ-graph definition: (connected, degrees_divisible,
-    weight_nondivisible, failure_reasons).  The graph is GHZ exactly when no
-    test fails: for odd d, degrees divisible by d make 2W, and with it W,
-    divisible by d, so odd_modulus never fails alone.
+def _ghz_tests(g: WeightedGraph) -> tuple[np.ndarray, int, bool, bool, bool, tuple[str, ...]]:
+    """The tests of the GHZ-graph definition with the sums they read:
+    (degrees, total_weight, connected, degrees_divisible, weight_nondivisible,
+    failure_reasons), the degrees an int64 vector of un-reduced column sums.
+    The graph is GHZ exactly when no test fails: for odd d, degrees
+    divisible by d make 2W, and with it W, divisible by d, so odd_modulus
+    never fails alone.
     """
     connected = is_connected(g)
     degrees = g.adj.sum(axis=0, dtype=np.int64)
+    weight = int(degrees.sum()) // 2
     degrees_divisible = bool((degrees % g.d == 0).all())
-    weight_nondivisible = int(degrees.sum()) // 2 % g.d != 0
+    weight_nondivisible = weight % g.d != 0
     failed = {"odd_modulus": g.d % 2 == 1, "not_connected": not connected,
               "degree_not_divisible": not degrees_divisible, "total_weight_divisible": not weight_nondivisible}
-    return connected, degrees_divisible, weight_nondivisible, tuple(k for k, bad in failed.items() if bad)
+    reasons = tuple(k for k, bad in failed.items() if bad)
+    return degrees, weight, connected, degrees_divisible, weight_nondivisible, reasons
 
 
 def classify_ghz(g: WeightedGraph) -> GhzReport:
     """The GHZ-graph tests, with the degrees, the total weight and the primality witnesses."""
-    connected, degrees_divisible, weight_nondivisible, reasons = _ghz_tests(g)
+    degrees, weight, connected, degrees_divisible, weight_nondivisible, reasons = _ghz_tests(g)
     witnesses = tuple(_coprime_pair(g.adj[v], g.d, v, strict=False) for v in range(g.n))
     strict_hits = tuple(_coprime_pair(g.adj[v], g.d, v, strict=True) for v in range(g.n))
     return GhzReport(
         connected=connected,
-        degrees=tuple(g.adj.sum(axis=0, dtype=np.int64).tolist()),
-        total_weight=total_weight(g),
+        degrees=tuple(degrees.tolist()),
+        total_weight=weight,
         degrees_divisible=degrees_divisible,
         weight_nondivisible=weight_nondivisible,
         is_ghz=not reasons,
@@ -238,7 +235,7 @@ def require_ghz(g: WeightedGraph, what: str) -> None:
     Only the definition is tested; the primality witnesses of ``classify_ghz``
     are not computed.
     """
-    reasons = _ghz_tests(g)[3]
+    reasons = _ghz_tests(g)[-1]
     if reasons:
         raise NotGhzGraphError(f"{what} needs a GHZ graph; failed: {', '.join(reasons)}")
 
@@ -263,9 +260,9 @@ def _ghz_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
     """Which blocks of a (k, k, c) stack of adjacency blocks pass the GHZ test.
 
     Block j is blocks[:, :, j].  Degree and weight sums are int64, as in
-    ``degree`` and ``total_weight``.  Only blocks that pass both get the
-    connectivity test: the set reached from vertex 0 along nonzero edges
-    grows until it stops growing.
+    ``_ghz_tests``.  Only blocks that pass both get the connectivity test:
+    the set reached from vertex 0 along nonzero edges grows until it stops
+    growing.
     """
     degs = blocks.sum(axis=0, dtype=np.int64)
     ok = (degs % d == 0).all(axis=0) & (degs.sum(axis=0) // 2 % d != 0)

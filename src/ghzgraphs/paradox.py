@@ -33,6 +33,8 @@ class ParadoxSystem:
 
     def __init__(self, d: int, n: int, coeffs, rhs) -> None:
         self.d = int(d)
+        if self.d < 2:
+            raise ValueError(f"modulus must be at least 2, got d={self.d}")
         self.n = int(n)
         c = np.array(coeffs, dtype=np.int64) % self.d
         r = np.array(rhs, dtype=np.int64) % self.d
@@ -52,19 +54,6 @@ class ParadoxSystem:
     @property
     def num_vars(self) -> int:
         return 2 * self.n
-
-    def satisfied_rows(self, assignment) -> np.ndarray:
-        """Boolean vector: which rows the assignment (a..., b...) satisfies."""
-        vec = np.array(assignment, dtype=np.int64)
-        if vec.shape != (self.num_vars,):
-            raise ValueError(f"assignment must have {self.num_vars} entries")
-        return (self.coeffs @ vec) % self.d == self.rhs
-
-    def with_final_rhs(self, value: int) -> "ParadoxSystem":
-        """Copy with the final right side replaced (control experiments)."""
-        rhs = self.rhs.copy()
-        rhs[-1] = value
-        return ParadoxSystem(self.d, self.n, self.coeffs, rhs)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,18 @@ A word is omega^p * prod_v X_v^{x_v} Z_v^{z_v} with omega = exp(2 pi i / d),
 all exponents in Z_d, and the X factor left of the Z factor on every qudit.
 Multiplication only ever moves a Z block past an X block, which costs
 omega^{z.x}, so everything stays integer until a dense matrix is requested.
-``multiply`` forms one product of two words; a long product is reduced by
-``_sparse_product`` from its factors' support entries, keeping a running Z
-sum instead of a word per partial product.
+A product of words is reduced by ``_sparse_product`` from its factors'
+support entries, keeping a running Z sum instead of a word per partial
+product.
 The oracles carry many words as one stack of integer arrays: x (k, n),
 z (k, n) and phase (k,), row i being word i, so a word's power and action
 are formed for the whole stack at once.
 A word's action on the computational basis is a monomial map, held exactly as
 d^n integer pairs.  ``_action_stacks`` builds them for a stack of words,
 qudit by qudit, broadcasting each qudit's shifted and phased digit over the
-grid of the qudits after it; ``word_action`` is its one-word case.
+grid of the qudits after it.
 ``to_matrix`` builds the dense d^n x d^n matrix from counter digits instead
-and serves as the test oracle, so the two routes check each other.
+and serves as the tests' oracle, so the two routes check each other.
 For even d the value -1 is omega^{d/2}; no separate sign is tracked.
 """
 
@@ -50,28 +50,9 @@ class PauliWord:
         self.z_exp = z
 
     @classmethod
-    def identity(cls, d: int, n: int) -> "PauliWord":
-        return cls(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-
-    @classmethod
-    def single_x(cls, d: int, n: int, v: int) -> "PauliWord":
-        x = np.zeros(n, dtype=np.int64)
-        x[v] = 1
-        return cls(d, x, np.zeros(n, dtype=np.int64))
-
-    @classmethod
-    def single_z(cls, d: int, n: int, v: int, exponent: int = 1) -> "PauliWord":
-        z = np.zeros(n, dtype=np.int64)
-        z[v] = exponent
-        return cls(d, np.zeros(n, dtype=np.int64), z)
-
-    @classmethod
     def all_x(cls, d: int, n: int) -> "PauliWord":
         """The collective shift X_V."""
         return cls(d, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-
-    def is_identity(self) -> bool:
-        return self.phase_exp == 0 and not self.x_exp.any() and not self.z_exp.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliWord):
@@ -82,48 +63,14 @@ class PauliWord:
     def __hash__(self) -> int:
         return hash((self.d, self.n, self.phase_exp, self.x_exp.tobytes(), self.z_exp.tobytes()))
 
-    def __mul__(self, other) -> "PauliWord":
-        return multiply(self, other)
-
-    def __pow__(self, k: int) -> "PauliWord":
-        return power(self, k)
-
     def __repr__(self) -> str:
         return f"PauliWord(d={self.d}, {render_word(self)!r})"
-
-
-def _check_same_space(w1: PauliWord, w2: PauliWord) -> None:
-    if w1.d != w2.d or w1.n != w2.n:
-        raise ValueError(f"dimension mismatch: (d={w1.d}, n={w1.n}) vs (d={w2.d}, n={w2.n})")
-
-
-def multiply(w1: PauliWord, w2: PauliWord) -> PauliWord:
-    """Normal-form product; reordering costs omega^{sum_v z1[v] x2[v]}."""
-    _check_same_space(w1, w2)
-    phase = w1.phase_exp + w2.phase_exp + int(np.dot(w1.z_exp, w2.x_exp))
-    return PauliWord(w1.d, w1.x_exp + w2.x_exp, w1.z_exp + w2.z_exp, phase)
-
-
-def power(w: PauliWord, k: int) -> PauliWord:
-    """k-th power via the closed form omega^{k p + k(k-1)/2 z.x} X^{kx} Z^{kz}."""
-    if k < 0:
-        raise ValueError(f"exponent must be non-negative, got {k}")
-    cross = int(np.dot(w.z_exp, w.x_exp))
-    phase = k * w.phase_exp + (k * (k - 1) // 2) * cross
-    return PauliWord(w.d, k * w.x_exp, k * w.z_exp, phase)
 
 
 def dagger(w: PauliWord) -> PauliWord:
     """Inverse word (equals the adjoint, since words are unitary)."""
     cross = int(np.dot(w.z_exp, w.x_exp))
     return PauliWord(w.d, -w.x_exp, -w.z_exp, -w.phase_exp + cross)
-
-
-def commutation_phase(w1: PauliWord, w2: PauliWord) -> int:
-    """c with w1 w2 = omega^c w2 w1; zero means the words commute."""
-    _check_same_space(w1, w2)
-    c = int(np.dot(w1.z_exp, w2.x_exp)) - int(np.dot(w1.x_exp, w2.z_exp))
-    return c % w1.d
 
 
 def vertex_stabilizer(g: WeightedGraph, v: int) -> PauliWord:
@@ -157,18 +104,8 @@ def _dagger_entry(d: int, entry: tuple) -> tuple:
     return cols, -x % d, -z % d, (int(np.dot(z, x)) - p) % d
 
 
-def _entry_word(d: int, n: int, entry: tuple) -> PauliWord:
-    """The n-qudit word of a ``_sparse_product`` entry."""
-    cols, x, z, p = entry
-    x_exp = np.zeros(n, dtype=np.int64)
-    z_exp = np.zeros(n, dtype=np.int64)
-    x_exp[cols] = x
-    z_exp[cols] = z
-    return PauliWord(d, x_exp, z_exp, p)
-
-
 def _power_stack(d: int, stack, k) -> tuple:
-    """``power`` of every word of a stack by the closed form
+    """The k-th power of every word of a stack by the closed form
     omega^(k p + k(k-1)/2 z.x) X^(kx) Z^(kz), reduced mod d; k is one
     exponent for every word or an array of one per word."""
     x, z, phase = stack
@@ -210,7 +147,7 @@ def _sparse_product(d: int, n: int, entries) -> tuple:
     gives omega^(sum_i p_i + sum_{i<j} z_i.x_j) X^(sum x_i) Z^(sum z_i), so a
     running Z sum, read at each factor's columns before the factor is added,
     yields the cross terms; no word is built.  The sums are kept reduced
-    mod d, so the int64 dot products are exact wherever ``multiply``'s are.
+    mod d, so each int64 dot product is exact while n (d-1)^2 < 2^63.
     """
     x_sum = np.zeros(n, dtype=np.int64)
     z_sum = np.zeros(n, dtype=np.int64)
@@ -248,8 +185,10 @@ def _action_stacks(d: int, stack):
     ``BLOCK`` entries.
 
     Yields (index, phase) pairs of shape (k, d^n) for consecutive runs of k
-    words, row i being ``word_action`` of its word except that its phases
-    are left unreduced: congruent to p + z.s mod d and in [0, (n + 1) d).
+    words.  Row i is the action w|s> = omega^phase[s] |index[s]> of its word
+    w over the basis, s in counter order (qudit 0 most significant): index[s]
+    is the position of s + x, and phase[s] is left unreduced, congruent to
+    p + z.s mod d and in [0, (n + 1) d).
     k d^n is at most ``BLOCK`` (2^15 entries, which stay in a core's L2
     cache), and a stack holds at least one word; ``STATE_CAP`` refuses a
     word whose d^n is larger.  The grids are built qudit by qudit from the
@@ -305,20 +244,6 @@ def _composed_actions(d: int, stack, lengths) -> list:
                 actions.append((index, acc))
         del stack_index, stack_phase, w_index, w_phase  # free this stack before the next one is built
     return actions[::-1]
-
-
-def word_action(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
-    """Exact monomial action w|s> = omega^{phase[s]} |index[s]> over the basis.
-
-    s runs in counter order (qudit 0 most significant); index[s] is the
-    position of s + x and phase[s] = p + z.s mod d.  These are the d^n
-    nonzero entries of ``to_matrix(w)``, built as a stack of one by
-    ``_action_stacks`` (one broadcast step per qudit), while ``to_matrix``
-    decodes counter digits, so each route checks the other.
-    The two arrays hold d^n entries each, at most ``STATE_CAP``.
-    """
-    index, phase = next(_action_stacks(w.d, _word_stack([w])))
-    return index[0], phase[0] % w.d
 
 
 def render_word(w: PauliWord, dagger_x: bool = False) -> str:

@@ -38,8 +38,9 @@ from ghzgraphs.paradox import (
     constraint_system,
     mermin_table,
 )
-from ghzgraphs.pauli import PauliWord, multiply, stabilizer_product, to_matrix
-from ghzgraphs.states import joint_plus_one_dimension, verify_stabilizers
+from ghzgraphs.pauli import PauliWord, stabilizer_product, to_matrix
+from ghzgraphs.states import verify_stabilizers
+from oracles import joint_plus_one_dimension, multiply
 
 TOL = 1e-9
 MATRIX_TOL = 1e-12

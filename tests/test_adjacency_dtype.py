@@ -22,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ghzgraphs import bounds, cli, graphs, paradox, pauli, states  # noqa: E402
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle  # noqa: E402
+from oracles import degree, joint_plus_one_dimension  # noqa: E402
 
 # each dtype boundary of d, and moduli near 2^62
 MODULI = [126, 127, 128, 32766, 32767, 32768, 2**31 - 2, 2**31 - 1, 2**31, 2**62 - 2, 2**62, 2**62 + 2]
@@ -77,7 +78,7 @@ def library_outcomes(d, adj) -> list:
     small = d**g.n <= 64
     calls = {
         "repr": lambda: g, "edges": g.edges, "dict": lambda: graphs.graph_to_dict(g), "adj": lambda: g.adj.tolist(),
-        "degree": lambda: [graphs.degree(g, v) for v in every], "total_weight": lambda: graphs.total_weight(g),
+        "degree": lambda: [degree(g, v) for v in every], "total_weight": lambda: graphs.total_weight(g),
         "is_connected": lambda: graphs.is_connected(g), "classify_ghz": lambda: graphs.classify_ghz(g),
         "require_ghz": lambda: graphs.require_ghz(g, "x"), "subgraph": lambda: graphs.subgraph(g, every[::2]),
         "find_ghz_subgraphs": lambda: graphs.find_ghz_subgraphs(g), "canonical_code": lambda: graphs.canonical_code(g),
@@ -85,7 +86,7 @@ def library_outcomes(d, adj) -> list:
         "stabilizer_product": lambda: pauli.stabilizer_product(g, every),
         "to_matrix": lambda: pauli.to_matrix(pauli.vertex_stabilizer(g, 0)).tobytes() if small else None,
         "build_state": lambda: states.build_state(g), "verify_stabilizers": lambda: states.verify_stabilizers(g),
-        "joint_plus_one_dimension": lambda: states.joint_plus_one_dimension(g) if small else None,
+        "joint_plus_one_dimension": lambda: joint_plus_one_dimension(g) if small else None,
         "constraint_system": lambda: paradox.constraint_system(g),
         "subgraph_paradox": lambda: paradox.subgraph_paradox(g, every),
         "check_infeasible_algebraic": lambda: paradox.check_infeasible_algebraic(paradox.constraint_system(g)),

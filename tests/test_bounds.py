@@ -57,6 +57,53 @@ class TestBellValue:
                 )
                 bell_classical_value(g, asg)  # raises if the two forms split
 
+    @staticmethod
+    def wide_case(d):
+        """A random 4-vertex graph at d with an assignment putting site 0 on 0
+        and site 1 on d/2, and its delta form from Python ints."""
+        rng = np.random.default_rng(32)
+        adj = np.triu(rng.integers(0, d, size=(4, 4)), 1)
+        g = WeightedGraph(d, adj + adj.T)
+        b = [int(x) for x in rng.integers(0, d, size=4)]
+        pulls = [sum(int(g.adj[v, u]) * b[u] for u in range(4)) for v in range(4)]
+        a = [-pulls[0] % d, (d // 2 - pulls[1]) % d] + [int(x) for x in rng.integers(0, d, size=2)]
+        sites = [(a[v] + pulls[v]) % d for v in range(4)]
+        coll = sum(a) % d
+        value = sum((s == 0) - (s == d // 2) for s in sites) + (coll == d // 2) - (coll == 0)
+        return g, ClassicalAssignment(d, tuple(a), tuple(b)), float(value)
+
+    def test_wide_modulus_skips_the_series(self, monkeypatch):
+        # (n + 1) d/2 = 5 * 2^30 terms exceed SEARCH_CAP, so the delta form comes back alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("cosine series summed above the cap")
+
+        g, asg, value = self.wide_case(2**31)
+        start = time.perf_counter()
+        assert bell_classical_value(g, asg) == value
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(np, "cos", refuse)
+        assert bell_classical_value(g, asg) == value
+
+    @pytest.mark.parametrize("d", [4, 2**20])
+    def test_spoiled_cosine_series_raises_within_the_cap(self, monkeypatch, d):
+        g, asg, value = self.wide_case(d)
+        assert bell_classical_value(g, asg) == value
+        real = np.cos
+        monkeypatch.setattr(np, "cos", lambda x: real(x) + 1e-6)
+        with pytest.raises(InvariantError, match="and cosine series"):
+            bell_classical_value(g, asg)
+
+    @pytest.mark.parametrize("spare, checked", [(0, True), (-1, False)])
+    def test_series_runs_up_to_the_cap(self, monkeypatch, spare, checked):
+        g, asg, value = self.wide_case(64)
+        monkeypatch.setattr(bounds, "SEARCH_CAP", (g.n + 1) * 32 + spare)
+        monkeypatch.setattr(np, "cos", lambda x: np.full(np.shape(x), 2.0))
+        if checked:
+            with pytest.raises(InvariantError):
+                bell_classical_value(g, asg)
+        else:
+            assert bell_classical_value(g, asg) == value
+
     def test_odd_modulus_rejected(self):
         g = WeightedGraph.from_edges(3, 2, [(0, 1, 1)])
         with pytest.raises(ValueError, match="even"):

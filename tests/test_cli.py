@@ -15,7 +15,7 @@ import pytest
 
 from ghzgraphs import bounds, cli, graphs, paradox, states
 from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
-from ghzgraphs.pauli import PauliWord
+from oracles import identity, multiply, single_z
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -283,7 +283,7 @@ class TestStateVerify:
 
     def test_failed_product_word_exits_one(self, triangle_file, monkeypatch, capsys):
         # the stabilizer product reads as the identity instead of omega^W X_V prod_v Z_v^D_v
-        monkeypatch.setattr(states, "stabilizer_product", lambda g, vertices: PauliWord.identity(g.d, g.n))
+        monkeypatch.setattr(states, "stabilizer_product", lambda g, vertices: identity(g.d, g.n))
         rep = states.verify_stabilizers(triangle(2))
         assert rep.product_word_check is False and rep.all_pass is False
         assert rep.vertex_check and rep.flip_check
@@ -359,7 +359,7 @@ class TestInvariantFailure:
         # a stray Z_0 on g_0 commutes with every other g_v but not with X_V^†
         real = paradox.vertex_stabilizer
         monkeypatch.setattr(paradox, "vertex_stabilizer",
-                            lambda g, v: real(g, v) * PauliWord.single_z(g.d, g.n, 0) if v == 0 else real(g, v))
+                            lambda g, v: multiply(real(g, v), single_z(g.d, g.n, 0)) if v == 0 else real(g, v))
         assert cli.main(["paradox", triangle_file]) == cli.EXIT_INVARIANT == 4
         captured = capsys.readouterr()
         assert captured.out == ""

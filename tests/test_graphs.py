@@ -15,7 +15,6 @@ from ghzgraphs.graphs import (
     canonical_code,
     classify_ghz,
     complete_4j3,
-    degree,
     enumerate_ghz_graphs,
     find_ghz_subgraphs,
     graph_from_code,
@@ -31,6 +30,7 @@ from ghzgraphs.graphs import (
     total_weight,
     triangle,
 )
+from oracles import degree
 from ghzgraphs.paradox import constraint_system, genuineness, mermin_table, subgraph_paradox
 
 

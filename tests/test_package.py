@@ -18,16 +18,15 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PUBLIC_NAMES = [
     "BoundReport", "CapExceededError", "ClassicalAssignment", "Genuineness", "GhzReport", "GraphFormatError",
     "InfeasibilityCertificate", "InvariantError", "MerminRow", "MerminTable", "NotGhzGraphError", "ParadoxSystem",
-    "PauliWord", "PhaseState", "StabilizerReport", "SweepResult", "WeightedGraph", "__version__", "apply_word",
+    "PauliWord", "PhaseState", "StabilizerReport", "SweepResult", "WeightedGraph", "__version__",
     "bell_classical_max", "bell_classical_value", "bell_quantum", "bounds", "build_state", "canonical_code",
-    "check_infeasible_algebraic", "check_infeasible_exhaustive", "classify_ghz", "commutation_phase",
-    "complete_4j3", "constraint_system", "cosine_objective", "dagger", "defaults", "degree", "eigenvalue_of",
-    "enumerate_ghz_graphs", "errors", "find_ghz_subgraphs", "genuineness", "graph_from_dict", "graph_to_dict",
-    "graphs", "is_connected", "joint_plus_one_dimension", "k4", "ks_classical_max", "ks_quantum",
-    "lattice_bound_brute", "lattice_bound_closed", "lattice_bound_sweep", "load_graph", "mermin_table",
-    "multiply", "odd_loop", "paradox", "pauli", "power", "render_word", "save_graph", "stabilizer_product",
-    "states", "subgraph", "subgraph_paradox", "to_dense", "to_matrix", "total_weight", "triangle",
-    "verify_stabilizers", "vertex_stabilizer",
+    "check_infeasible_algebraic", "check_infeasible_exhaustive", "classify_ghz", "complete_4j3",
+    "constraint_system", "cosine_objective", "dagger", "defaults", "eigenvalue_of", "enumerate_ghz_graphs",
+    "errors", "find_ghz_subgraphs", "genuineness", "graph_from_dict", "graph_to_dict", "graphs", "is_connected",
+    "k4", "ks_classical_max", "ks_quantum", "lattice_bound_brute", "lattice_bound_closed", "lattice_bound_sweep",
+    "load_graph", "mermin_table", "odd_loop", "paradox", "pauli", "render_word", "save_graph", "stabilizer_product",
+    "states", "subgraph", "subgraph_paradox", "to_matrix", "total_weight", "triangle", "verify_stabilizers",
+    "vertex_stabilizer",
 ]
 SUBMODULES = ["bounds", "defaults", "errors", "graphs", "paradox", "pauli", "states"]
 

@@ -18,8 +18,8 @@ from ghzgraphs.paradox import (
     mermin_table,
     subgraph_paradox,
 )
-from ghzgraphs.pauli import PauliWord
 from ghzgraphs.states import build_state, eigenvalue_of
+from oracles import multiply, satisfied_rows, single_z, with_final_rhs
 
 
 def brute_feasible(system):
@@ -57,18 +57,24 @@ class TestConstraintSystem:
 
     def test_satisfied_rows_helper(self):
         system = constraint_system(triangle(2))
-        assert list(system.satisfied_rows([0] * 6)) == [True, True, True, False]
+        assert list(satisfied_rows(system, [0] * 6)) == [True, True, True, False]
 
     # check_infeasible_algebraic reads coeffs[-1] and with_final_rhs writes
     # rhs[-1]: on a system without rows both failed with a bare IndexError
     @pytest.mark.parametrize("call", [
         lambda system: system,
         check_infeasible_algebraic,
-        lambda system: system.with_final_rhs(1),
+        lambda system: with_final_rhs(system, 1),
     ], ids=["constructor", "algebraic", "final rhs"])
     def test_system_without_rows_rejected(self, call):
         with pytest.raises(ValueError, match="needs a final row"):
             call(ParadoxSystem(2, 2, np.zeros((0, 4)), []))
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_modulus_below_two_rejected(self, d):
+        # d = 0 reduced every entry mod 0 (an all-zero system with numpy warnings); d = 1 was accepted
+        with pytest.raises(ValueError, match=f"^modulus must be at least 2, got d={d}$"):
+            ParadoxSystem(d, 1, [[1, 0]], [0])
 
 
 class TestAlgebraicCertificate:
@@ -85,7 +91,7 @@ class TestAlgebraicCertificate:
         assert cert.contradiction == (0, rhs)
 
     def test_control_system_rejected(self):
-        system = constraint_system(triangle(2)).with_final_rhs(0)
+        system = with_final_rhs(constraint_system(triangle(2)), 0)
         with pytest.raises(ValueError, match="no contradiction"):
             check_infeasible_algebraic(system)
 
@@ -104,7 +110,7 @@ class TestExhaustiveCertificate:
         assert cert.max_satisfied_rows == 4
 
     def test_control_system_is_feasible_at_zero(self):
-        system = constraint_system(triangle(2)).with_final_rhs(0)
+        system = with_final_rhs(constraint_system(triangle(2)), 0)
         cert = check_infeasible_exhaustive(system)
         assert not cert.infeasible
         assert cert.satisfying_witness == (0, 0, 0, 0, 0, 0)
@@ -120,7 +126,7 @@ class TestExhaustiveCertificate:
             cert = check_infeasible_exhaustive(system)
             assert brute_feasible(system) is None
             assert cert.infeasible
-            control = system.with_final_rhs(0)
+            control = with_final_rhs(system, 0)
             assert brute_feasible(control) == check_infeasible_exhaustive(control).satisfying_witness
 
     def test_agreement_and_max_rows_on_enumerated_graphs(self):
@@ -136,7 +142,7 @@ class TestExhaustiveCertificate:
         for g in [triangle(2), k4(4, 1, 1, 0)]:
             system = constraint_system(g)
             zeros = [0] * system.num_vars
-            assert list(system.satisfied_rows(zeros))[:-1] == [True] * (system.num_rows - 1)
+            assert list(satisfied_rows(system, zeros))[:-1] == [True] * (system.num_rows - 1)
 
 
 class TestMerminTable:
@@ -182,7 +188,7 @@ class TestMerminTable:
 
         def stray_z0(g, v):
             word = real(g, v)
-            return word * PauliWord.single_z(g.d, g.n, 0) if v == 0 else word
+            return multiply(word, single_z(g.d, g.n, 0)) if v == 0 else word
 
         monkeypatch.setattr(paradox, "vertex_stabilizer", stray_z0)
         with pytest.raises(InvariantError, match=r"table rows g_0 and X_V\^† fail to commute"):
@@ -280,7 +286,7 @@ class TestSubgraphParadox:
 
         monkeypatch.setattr(paradox, "scan_max", recording_scan)
         feasible = ParadoxSystem(2, 9, system.coeffs, [1] + [0] * 6 + [1])  # row sums agree
-        for case in (system, system.with_final_rhs(0), feasible):
+        for case in (system, with_final_rhs(system, 0), feasible):
             tables = (np.arange(2) == case.rhs[:, None]).astype(np.int64)
             best, witness = _search.scan_max(case.coeffs, tables, 2)
             full = InfeasibilityCertificate(

@@ -10,25 +10,15 @@ from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 from ghzgraphs.pauli import (
     PauliWord,
     _action_stacks,
-    _composed_actions,
     _word_stack,
-    commutation_phase,
     dagger,
-    multiply,
-    power,
     render_word,
     stabilizer_product,
     to_matrix,
     vertex_stabilizer,
-    word_action,
 )
 from ghzgraphs.states import PhaseState, _stack_exponents
-
-
-def product_action(words):
-    """Exact action of words[0] words[1] ... words[-1], composed by gathers with phases reduced."""
-    [(index, phase)] = _composed_actions(words[0].d, _word_stack(words), [len(words)])
-    return index, phase % words[0].d
+from oracles import commutation_phase, identity, multiply, power, product_action, single_x, single_z, word_action
 
 
 def random_word(rng, d, n):
@@ -43,8 +33,8 @@ def assert_matches_dense(word, matrix, tol=1e-12):
 
 class TestMultiply:
     def test_clock_times_shift_picks_up_omega(self):
-        z = PauliWord.single_z(2, 1, 0)
-        x = PauliWord.single_x(2, 1, 0)
+        z = single_z(2, 1, 0)
+        x = single_x(2, 1, 0)
         prod = multiply(z, x)
         assert prod.phase_exp == 1
         assert list(prod.x_exp) == [1] and list(prod.z_exp) == [1]
@@ -54,7 +44,7 @@ class TestMultiply:
         for _ in range(20):
             d, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             w = random_word(rng, d, n)
-            e = PauliWord.identity(d, n)
+            e = identity(d, n)
             assert multiply(e, w) == w == multiply(w, e)
 
     def test_inverse_pair_leaves_pure_phase(self):
@@ -77,20 +67,20 @@ class TestMultiply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(PauliWord.identity(2, 1), PauliWord.identity(2, 2))
+            multiply(identity(2, 1), identity(2, 2))
         with pytest.raises(ValueError):
-            multiply(PauliWord.identity(2, 2), PauliWord.identity(3, 2))
+            multiply(identity(2, 2), identity(3, 2))
 
 
 class TestPower:
     def test_shift_to_the_d_is_identity(self):
         for d in (2, 3, 4, 6):
-            x = PauliWord.single_x(d, 2, 0)
-            assert power(x, d) == PauliWord.identity(d, 2)
+            x = single_x(d, 2, 0)
+            assert power(x, d) == identity(d, 2)
 
     def test_zeroth_power(self):
         w = PauliWord(4, [1, 2], [3, 0], 2)
-        assert power(w, 0) == PauliWord.identity(4, 2)
+        assert power(w, 0) == identity(4, 2)
 
     def test_square_of_xz(self):
         w = PauliWord(4, [1], [1])
@@ -105,7 +95,7 @@ class TestPower:
             d, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             w = random_word(rng, d, n)
             k = int(rng.integers(0, 3 * d))
-            acc = PauliWord.identity(d, n)
+            acc = identity(d, n)
             for _ in range(k):
                 acc = multiply(acc, w)
             assert power(w, k) == acc
@@ -120,7 +110,7 @@ class TestPower:
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            power(PauliWord.identity(2, 1), -1)
+            power(identity(2, 1), -1)
 
 
 class TestDagger:
@@ -129,8 +119,8 @@ class TestDagger:
         for _ in range(30):
             d, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             w = random_word(rng, d, n)
-            assert multiply(w, dagger(w)) == PauliWord.identity(d, n)
-            assert multiply(dagger(w), w) == PauliWord.identity(d, n)
+            assert multiply(w, dagger(w)) == identity(d, n)
+            assert multiply(dagger(w), w) == identity(d, n)
 
     def test_dagger_matches_conjugate_transpose(self):
         rng = np.random.default_rng(5)
@@ -155,7 +145,7 @@ class TestStabilizers:
 
     def test_isolated_vertex(self):
         g = WeightedGraph(4, np.zeros((3, 3), dtype=int))
-        assert vertex_stabilizer(g, 1) == PauliWord.single_x(4, 3, 1)
+        assert vertex_stabilizer(g, 1) == single_x(4, 3, 1)
 
     def test_stabilizer_pairs_commute(self):
         for g in [triangle(2), k4(4, 1, 1, 0), k4(6, 1, 1, 1)]:
@@ -212,14 +202,14 @@ class TestStabilizers:
 
 class TestCommutation:
     def test_clock_vs_shift(self):
-        z = PauliWord.single_z(4, 1, 0)
-        x = PauliWord.single_x(4, 1, 0)
+        z = single_z(4, 1, 0)
+        x = single_x(4, 1, 0)
         assert commutation_phase(z, x) == 1
 
     def test_disjoint_supports_commute(self):
         for d in (2, 5):
-            x0 = PauliWord.single_x(d, 2, 0)
-            x1 = PauliWord.single_x(d, 2, 1)
+            x0 = single_x(d, 2, 0)
+            x1 = single_x(d, 2, 1)
             assert commutation_phase(x0, x1) == 0
 
     def test_antisymmetry(self):
@@ -244,11 +234,11 @@ class TestCommutation:
 
 class TestDense:
     def test_clock_matrix_d4(self):
-        z = PauliWord.single_z(4, 1, 0)
+        z = single_z(4, 1, 0)
         assert np.abs(to_matrix(z) - np.diag([1, 1j, -1, -1j])).max() <= 1e-12
 
     def test_identity_matrix(self):
-        assert np.abs(to_matrix(PauliWord.identity(3, 2)) - np.eye(9)).max() == 0
+        assert np.abs(to_matrix(identity(3, 2)) - np.eye(9)).max() == 0
 
     def test_unitarity(self):
         rng = np.random.default_rng(10)
@@ -276,11 +266,11 @@ class TestDense:
 
     def test_dense_cap(self):
         with pytest.raises(CapExceededError):
-            to_matrix(PauliWord.identity(2, 13))  # 2^13 > DENSE_CAP
+            to_matrix(identity(2, 13))  # 2^13 > DENSE_CAP
 
     def test_word_action_cap_and_operand_checks(self):
         with pytest.raises(CapExceededError):
-            word_action(PauliWord.identity(2, 24))  # 2^24 > STATE_CAP, refused before allocating
+            word_action(identity(2, 24))  # 2^24 > STATE_CAP, refused before allocating
 
 
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
@@ -310,7 +300,7 @@ class TestDense:
     def test_state_cap_below_one_word_refuses(self, monkeypatch):
         monkeypatch.setattr(pauli, "STATE_CAP", 80)
         with pytest.raises(CapExceededError, match="word action of size 3\\^4 exceeds cap 80"):
-            word_action(PauliWord.identity(3, 4))
+            word_action(identity(3, 4))
 
 
 class TestRendering:

@@ -46,30 +46,36 @@ from ghzgraphs.pauli import (  # noqa: E402
     _composed_actions,
     _dagger_entry,
     _entry_stack,
-    _entry_word,
     _identity_rows,
     _power_stack,
     _sparse_product,
     _word_stack,
-    commutation_phase,
     dagger,
-    multiply,
-    power,
     stabilizer_product,
     to_matrix,
     vertex_stabilizer,
-    word_action,
 )
 from ghzgraphs.states import (  # noqa: E402
     PhaseState,
     _stack_exponents,
-    apply_word,
     build_state,
     eigenvalue_of,
-    to_dense,
     verify_stabilizers,
 )
-from test_pauli import product_action  # noqa: E402
+from oracles import (  # noqa: E402
+    _entry_word,
+    apply_word,
+    commutation_phase,
+    identity,
+    is_identity,
+    multiply,
+    power,
+    product_action,
+    single_x,
+    single_z,
+    to_dense,
+    word_action,
+)
 from test_search import loop_scan_max  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -319,7 +325,7 @@ def test_eigen_exponents_match_the_apply_word_route(case):
 @given(states_and_words(), st.sampled_from([(0, 1), (1, 0), (1, 1)]))
 def test_eigenvalue_of_keeps_the_dimension_mismatch_error(case, offset):
     state, _ = case
-    word = PauliWord.identity(state.d + offset[0], state.n + offset[1])
+    word = identity(state.d + offset[0], state.n + offset[1])
     with pytest.raises(ValueError) as applied:
         apply_word(word, state)
     with pytest.raises(ValueError) as measured:
@@ -361,7 +367,7 @@ def test_power_stack_is_power_word_by_word(words, data):
     stack = _word_stack(words)
     assert stack_words(_power_stack(d, stack, np.array(ks))) == word_rows(power(w, k) for w, k in zip(words, ks))
     assert stack_words(_power_stack(d, stack, d)) == word_rows(power(w, d) for w in words)
-    assert _identity_rows(_power_stack(d, stack, d)).tolist() == [power(w, d).is_identity() for w in words]
+    assert _identity_rows(_power_stack(d, stack, d)).tolist() == [is_identity(power(w, d)) for w in words]
 
 
 @PROPERTY
@@ -376,7 +382,7 @@ def test_bell_term_stack_matches_the_per_word_route(g, data):
     words = [power(base, k) for base in bases for k in range(1, d, 2)]
     terms = _bell_terms(g)
     assert stack_words(terms) == word_rows(words)
-    assert _identity_rows(_power_stack(d, terms, d)).tolist() == [power(w, d).is_identity() for w in words]
+    assert _identity_rows(_power_stack(d, terms, d)).tolist() == [is_identity(power(w, d)) for w in words]
     assume(d**n <= 4096)
     psi = build_state(g)
     expected = [eigenvalue_of(w, psi) for w in words]
@@ -446,9 +452,9 @@ def test_ks_rows_compose_as_their_entry_words(g, data):
     rows = [(name, list(factors), phase) for name, factors, phase in _ks_rows(g)]
     coll_dagger = dagger(PauliWord.all_x(d, n))
     stabilizers = [vertex_stabilizer(g, v) for v in range(n)]
-    expected = [[coll_dagger] + [PauliWord.single_x(d, n, v) for v in range(n)]]
-    expected += [[dagger(s), PauliWord.single_x(d, n, v)]
-                 + [PauliWord.single_z(d, n, int(u), int(g.adj[v, u])) for u in np.flatnonzero(g.adj[v])]
+    expected = [[coll_dagger] + [single_x(d, n, v) for v in range(n)]]
+    expected += [[dagger(s), single_x(d, n, v)]
+                 + [single_z(d, n, int(u), int(g.adj[v, u])) for u in np.flatnonzero(g.adj[v])]
                  for v, s in enumerate(stabilizers)]
     expected.append([coll_dagger] + stabilizers)
     assert [[_entry_word(d, n, f) for f in factors] for _, factors, _ in rows] == expected
@@ -482,7 +488,7 @@ def test_mermin_check_matches_pair_loop(g, data):
     target = data.draw(st.integers(0, n - 1))
 
     def with_stray(h, v):
-        return vertex_stabilizer(h, v) * stray if v == target else vertex_stabilizer(h, v)
+        return multiply(vertex_stabilizer(h, v), stray) if v == target else vertex_stabilizer(h, v)
 
     words = [with_stray(g, v) for v in range(n)] + [dagger(PauliWord.all_x(d, n))]
     labels = [f"g_{v}" for v in range(n)] + ["X_V^†"]

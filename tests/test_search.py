@@ -14,8 +14,9 @@ from ghzgraphs.bounds import _ks_direct_max, bell_classical_max, lattice_bound_b
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 from ghzgraphs.paradox import ParadoxSystem, check_infeasible_exhaustive, constraint_system
-from ghzgraphs.pauli import PauliWord, to_matrix, word_action
-from ghzgraphs.states import build_state, joint_plus_one_dimension
+from ghzgraphs.pauli import to_matrix
+from ghzgraphs.states import build_state
+from oracles import identity, joint_plus_one_dimension, with_final_rhs, word_action
 
 
 def loop_scan_max(forms, tables, base):
@@ -306,7 +307,7 @@ class TestPinnedScans:
         cert = check_infeasible_exhaustive(system)
         assert (cert.infeasible, cert.searched, cert.max_satisfied_rows, cert.satisfying_witness) == (
             True, 6**8, 4, None)
-        control = check_infeasible_exhaustive(system.with_final_rhs(0))
+        control = check_infeasible_exhaustive(with_final_rhs(system, 0))
         assert (control.infeasible, control.searched, control.max_satisfied_rows,
                 control.satisfying_witness) == (False, 6**8, 5, (0,) * 8)
 
@@ -341,8 +342,8 @@ class TestSearchSize:
         lambda: check_infeasible_exhaustive(ParadoxSystem(2**62, 120, np.zeros((1, 240), dtype=np.int64), [0])),
         lambda: build_state(WIDE),
         lambda: joint_plus_one_dimension(WIDE),
-        lambda: word_action(PauliWord.identity(2**62, 240)),
-        lambda: to_matrix(PauliWord.identity(2**62, 240)),
+        lambda: word_action(identity(2**62, 240)),
+        lambda: to_matrix(identity(2**62, 240)),
     ], ids=["enumerate", "lattice", "bell", "paradox", "state", "projector", "word action", "matrix"])
     def test_sizes_past_the_int_string_limit_are_refused(self, call):
         with pytest.raises(CapExceededError, match="\\^") as info:

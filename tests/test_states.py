@@ -9,16 +9,9 @@ from conftest import dense_graph_state, dense_word
 from ghzgraphs import graphs
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
-from ghzgraphs.pauli import PauliWord, multiply, to_matrix, vertex_stabilizer
-from ghzgraphs.states import (
-    PhaseState,
-    apply_word,
-    build_state,
-    eigenvalue_of,
-    joint_plus_one_dimension,
-    to_dense,
-    verify_stabilizers,
-)
+from ghzgraphs.pauli import PauliWord, to_matrix, vertex_stabilizer
+from ghzgraphs.states import PhaseState, build_state, eigenvalue_of, verify_stabilizers
+from oracles import apply_word, identity, joint_plus_one_dimension, multiply, single_x, single_z, to_dense
 
 
 def random_graph(rng, n, d):
@@ -65,11 +58,17 @@ class TestBuildState:
         keys = [s for s, _ in build_state(g).dump()]
         assert keys == list(itertools.product(range(3), repeat=2))
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_modulus_below_two_rejected(self, d):
+        # d = 0 failed with "need 0 exponents"; d = 1 was accepted
+        with pytest.raises(ValueError, match=f"^modulus must be at least 2, got d={d}$"):
+            PhaseState(d, 1, [0])
+
 
 class TestApplyWord:
     def test_identity_fixes_state(self):
         psi = build_state(triangle(2))
-        assert apply_word(PauliWord.identity(2, 3), psi) == psi
+        assert apply_word(identity(2, 3), psi) == psi
 
     def test_stabilizers_fix_triangle_state(self):
         g = triangle(2)
@@ -105,7 +104,7 @@ class TestApplyWord:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_word(PauliWord.identity(2, 2), build_state(triangle(2)))
+            apply_word(identity(2, 2), build_state(triangle(2)))
 
 
 class TestEigenvalues:
@@ -123,8 +122,8 @@ class TestEigenvalues:
     def test_uniform_state(self):
         g = WeightedGraph(2, np.zeros((2, 2), dtype=int))
         psi = build_state(g)
-        assert eigenvalue_of(PauliWord.single_x(2, 2, 0), psi) == 0
-        assert eigenvalue_of(PauliWord.single_z(2, 2, 0), psi) is None
+        assert eigenvalue_of(single_x(2, 2, 0), psi) == 0
+        assert eigenvalue_of(single_z(2, 2, 0), psi) is None
 
 
 class TestVerifyStabilizers:
