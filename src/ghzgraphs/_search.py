@@ -54,7 +54,7 @@ def digit_chunks(num_digits: int, base: int, chunk: int):
         yield start, counter_digits(np.arange(start, min(start + chunk, total)), num_digits, base)
 
 
-def scan_max(forms, tables, base: int, chunk: int = BLOCK):
+def scan_max(forms, tables, base: int):
     """Maximum over every counter value q of sum_r tables[r][(forms[r] . digits(q)) mod base].
 
     ``forms`` is an integer (rows, num_digits) array and ``tables`` a
@@ -69,20 +69,23 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     appends their o translates by 0, col, ..., (o-1) col, so the list holds
     each vector once, at the lowest counter value that reaches it, in
     counter order, and a column already in the span costs nothing.  Growth
-    stops at the first column that would take the list past ``chunk``, and
+    stops at the first column that would take the list past ``BLOCK``, and
     the list takes as many of that column's translates as fit.  One loop
     then runs, in counter order, over the digits above that column and its
     moves by that many translates; each block reads every row's table
     shifted by the residue of its own digits, and argmax on the list gives
-    the lowest counter value of the block.  No array outgrows a few times
-    rows * chunk entries, whatever the base; the residue arithmetic is
-    int64, so chunk * base must stay below 2^63.
+    the lowest counter value of the block.  Each digit above runs over its
+    column's own order, base // gcd(base, *column): the lowest counter value
+    reaching a residue vector has every digit below that order, so a zero
+    column adds no block.  No array outgrows a few times rows * BLOCK
+    entries, whatever the base; the residue arithmetic is int64, so
+    BLOCK * base must stay below 2^63.
 
-    A block streams a few arrays of rows * chunk entries, so it runs fastest
-    while they stay in a core's L2 cache: the default BLOCK = 2^15 entries
-    keeps seven rows at about 1.8 MB.  Every value is 0 plus the rows' terms
-    in row order, so the maximum, its witness and its repr do not depend on
-    chunk.
+    ``BLOCK`` is read when the scan is called.  A block streams a few arrays
+    of rows * BLOCK entries, so it runs fastest while they stay in a core's
+    L2 cache: BLOCK = 2^15 entries keeps seven rows at about 1.8 MB.  Every
+    value is 0 plus the rows' terms in row order, so the maximum, its
+    witness and its repr do not depend on BLOCK.
     """
     forms = np.asarray(forms, dtype=np.int64) % base
     tables = np.asarray(tables)
@@ -92,7 +95,7 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
     col = num_digits - 1
     while col >= 0:
         order = _order(forms[:, col], vecs, base)
-        if vecs.shape[1] * order > chunk:
+        if vecs.shape[1] * order > BLOCK:
             break
         if order > 1:
             vecs = _translates(vecs, forms[:, col], order, base)
@@ -100,21 +103,22 @@ def scan_max(forms, tables, base: int, chunk: int = BLOCK):
         col -= 1
     size = vecs.shape[1]
     if col >= 0:
-        step = chunk // size
+        step = BLOCK // size
         vecs = _translates(vecs, forms[:, col], step, base)
     else:
         step = order = 1
     looped = forms[:, :col + 1].tolist()
+    tops = [range(base // math.gcd(base, *column)) for column in list(zip(*looped))[:col]]  # own orders
     # a row that vanishes on the looped digits reads its table once; the
     # others read their table shifted by s as a slice of the table written
-    # twice, unless that copy would outgrow the rows * chunk bound
+    # twice, unless that copy would outgrow the rows * BLOCK bound
     still = {r: tables[r][vecs[r]] for r in range(rows) if not any(looped[r])}
-    doubled = np.concatenate([tables, tables], axis=1) if base <= chunk else None
+    doubled = np.concatenate([tables, tables], axis=1) if base <= BLOCK else None
     sums = np.empty(vecs.shape[1], dtype=tables.dtype)
     terms = np.empty_like(sums)
     index = np.empty(vecs.shape[1], dtype=np.int64)
     best = None
-    for block in itertools.product(*[range(base)] * col, range(0, order, step)):
+    for block in itertools.product(*tops, range(0, order, step)):
         count = min(step, order - block[-1]) * size
         vals = sums[:count]
         vals[:] = 0
@@ -164,29 +168,22 @@ def lattice_max(table, num_digits: int, base: int):
     float maximum is within twice that of every value seen, far inside
     TOLERANCE while n < 2000, and is kept.  The lowest counter value
     attaining the float maximum need not be sorted, so pass 2 visits every
-    arrangement.  With one digit each tuple is its only arrangement and
-    pass 1 runs in counter order, so its first maximum is the answer.
+    arrangement.  It needs n >= 2; with one digit the objective is
+    table[q] - table[q], which lattice_bound_brute decides without a search.
 
     Pass 1 holds the sorted (n-2)-digit tuples whole (10,660 at most
     within SEARCH_CAP) and extends them by a digit to the (n-1)-digit
     prefixes one block of rows at a time.  The last digit runs from the
     prefix's last digit to base - 1, so a block reads it as slices of the
     table and of the table written twice; no block holds more than BLOCK
-    values, scan_max's default block.  A block of prefixes with different
-    last digits starts from the lowest, so it also evaluates a few unsorted
-    tuples: they are counter values too, and pass 2 takes only the sorted
-    ones.
+    values, as in scan_max.  A block of prefixes with different last digits
+    starts from the lowest, so it also evaluates a few unsorted tuples: they
+    are counter values too, and pass 2 takes only the sorted ones.
     """
-    table = np.asarray(table, dtype=np.float64)
     n, d = num_digits, base
-    if n == 1:
-        # each tuple is its only arrangement, and the blocks run in counter order
-        found = None
-        for c0 in range(0, d, BLOCK):
-            vals = (0.0 + table[c0:c0 + BLOCK]) - table[c0:c0 + BLOCK]
-            j = int(vals.argmax())
-            found = _better(found, (vals[j], (c0 + j,)))
-        return found[0].item(), found[1]
+    if n < 2:
+        raise ValueError(f"lattice_max needs at least 2 digits, got {n}")
+    table = np.asarray(table, dtype=np.float64)
     digits, partial, residues, ends = _sorted_tuples(n - 2, table, d)
     bounds = np.cumsum(ends)
     firsts = bounds - ends  # the prefixes ending in v are rows firsts[v] .. bounds[v] - 1

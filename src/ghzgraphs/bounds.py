@@ -87,9 +87,11 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> f
     if assignment.d != g.d or assignment.n != g.n:
         raise ValueError("assignment does not match the graph dimensions")
     d, h = g.d, g.d // 2
-    a = np.array(assignment.a_exp, dtype=np.int64)
-    b = np.array(assignment.b_exp, dtype=np.int64)
-    site_exp = (a + g.adj.astype(np.int64) @ b) % d
+    # a_v + (adj b)_v is below n (d-1)^2: int64 below 2^63, Python ints past it
+    dtype = np.int64 if g.n * (d - 1) ** 2 < 2**63 else object
+    a = np.array(assignment.a_exp, dtype=dtype)
+    b = np.array(assignment.b_exp, dtype=dtype)
+    site_exp = (a + g.adj.astype(dtype) @ b) % d
     coll_exp = int(a.sum() % d)
 
     value = float((coll_exp == h) - (coll_exp == 0)
@@ -259,15 +261,16 @@ def lattice_bound_brute(n: int, d: int, cap: int = SEARCH_CAP) -> BoundReport:
     Exponent t stands for the angle 2 pi t / d; the witness is the lowest
     exponent tuple in counter order attaining the maximum.  The search runs
     over sorted exponent tuples and their arrangements (_search.lattice_max)
-    and returns the maximum and witness of a scan of all d^n points.  For
-    even d the closed form is attached as the oracle.
+    and returns the maximum and witness of a scan of all d^n points.  At
+    n = 1 the objective is cos x - cos x, 0.0 at every point, so the
+    maximum is 0.0 at exponent 0 and no table is built.  For even d the
+    closed form is attached as the oracle.
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got (n={n}, d={d})")
     space = search_size("lattice scan", d, n, cap)
     theta = 2 * math.pi / d
-    table = np.cos(theta * np.arange(d))
-    best, witness = lattice_max(table, n, d)
+    best, witness = lattice_max(np.cos(theta * np.arange(d)), n, d) if n > 1 else (0.0, (0,))
     closed = lattice_bound_closed(n, d) if d % 2 == 0 else None
     return BoundReport(
         kind="lattice_brute",

@@ -137,25 +137,22 @@ def check_infeasible_exhaustive(system: ParadoxSystem, cap: int = SEARCH_CAP) ->
 
     Infeasible systems report the maximal number of simultaneously satisfied
     rows; feasible ones (control experiments) report the first witness.  A
-    variable that occurs in no row changes no row, so only the others are
-    scanned and the witness puts 0 at the free positions, as the lowest
-    counter value does; ``searched`` still counts all d^(2n) assignments.
+    variable that occurs in no row has a zero column, which the scan kernel
+    runs over its own order 1, so it costs no block and the witness puts 0
+    there, as the lowest counter value does; ``searched`` counts all d^(2n)
+    assignments.
     """
     d = system.d
-    nv = system.num_vars
-    space = search_size("exhaustive check", d, nv, cap)
+    space = search_size("exhaustive check", d, system.num_vars, cap)
     target = system.num_rows
     tables = (np.arange(d) == system.rhs[:, None]).astype(np.int64)
-    used = system.coeffs.any(axis=0)
-    best, reduced = scan_max(system.coeffs[:, used], tables, d)
-    witness = np.zeros(nv, dtype=np.int64)
-    witness[used] = reduced
+    best, witness = scan_max(system.coeffs, tables, d)
     return InfeasibilityCertificate(
         method="exhaustive",
         infeasible=best < target,
         searched=space,
         max_satisfied_rows=best,
-        satisfying_witness=tuple(int(x) for x in witness) if best == target else None,
+        satisfying_witness=witness if best == target else None,
     )
 
 
@@ -204,10 +201,12 @@ def mermin_table(g: WeightedGraph) -> MerminTable:
         rows.append(MerminRow(label=f"g_{v}", text=render_word(word), expected_value=1, word=word))
     flip = dagger(PauliWord.all_x(g.d, g.n))
     rows.append(MerminRow(label="X_V^†", text=render_word(flip, dagger_x=True), expected_value=-1, word=flip))
-    # column j starts as z_i.x_j over the X support of row j, exact while n (d-1)^2 < 2^63; phases is
-    # antisymmetric, so its first row-major nonzero is the first pair i < j that fails to commute
-    z = np.array([row.word.z_exp for row in rows])
-    phases = np.stack([z[:, x != 0] @ x[x != 0] for x in (row.word.x_exp for row in rows)], axis=1)
+    # column j starts as z_i.x_j over the X support of row j, in int64 while n (d-1)^2 < 2^63 and in
+    # Python ints past that; phases is antisymmetric, so its first row-major nonzero is the first pair
+    # i < j that fails to commute
+    dtype = np.int64 if g.n * (g.d - 1) ** 2 < 2**63 else object
+    z = np.array([row.word.z_exp for row in rows], dtype=dtype)
+    phases = np.stack([z[:, x != 0] @ x[x != 0].astype(dtype) for x in (row.word.x_exp for row in rows)], axis=1)
     phases -= phases.T
     phases %= g.d
     for i, j in np.argwhere(phases)[:1]:

@@ -104,6 +104,13 @@ class TestBellValue:
         else:
             assert bell_classical_value(g, asg) == value
 
+    @pytest.mark.parametrize("d", [2**33 + 2, 2**61 - 2])
+    def test_exponent_sums_past_int64_are_exact(self, d):
+        # a_0 + (d-1) b_1 = (d-1) + (d-1)^2 = d (d-1) passes 2^63: sites 0 and 1 both land on 0
+        # and the collective exponent d - 1 on neither 0 nor d/2
+        g = WeightedGraph.from_edges(d, 2, [(0, 1, d - 1)])
+        assert bell_classical_value(g, ClassicalAssignment(d, (d - 1, 0), (0, d - 1))) == 2.0
+
     def test_odd_modulus_rejected(self):
         g = WeightedGraph.from_edges(3, 2, [(0, 1, 1)])
         with pytest.raises(ValueError, match="even"):

@@ -427,6 +427,9 @@ def pinned_cases():
     yield ("enumerate", "4", "4", "--dedup")
     yield ("lemma", "3", "8")
     yield ("lemma", "6", "12", "--cap", "1000")
+    # one variable; 65538 is past one BLOCK of lattice points
+    yield ("lemma", "1", "8")
+    yield ("lemma", "1", "65538")
 
 
 def run_pinned(argv, fmt, graph_dir):
@@ -441,7 +444,8 @@ def run_pinned(argv, fmt, graph_dir):
 # recorded by running run_pinned on the code before the CLI's RunConfig layer was removed;
 # state-verify re-recorded from that output with its ghz_expectation line removed, and
 # bell re-recorded with its notes once the Bell oracle became exact; paradox over cap
-# recorded once it printed the algebraic certificate with the scan skipped
+# recorded once it printed the algebraic certificate with the scan skipped; lemma 1 recorded
+# while lattice_max still scanned one digit
 PINNED = {
     "check triangle json": (0, "0466540dd3bbfd11"),
     "check triangle text": (0, "5124a60f1e598d05"),
@@ -483,6 +487,10 @@ PINNED = {
     "lemma 3 8 text": (0, "e189d05fd71e96ee"),
     "lemma 6 12 --cap 1000 json": (0, "0ae4e2f74daaa6d5"),
     "lemma 6 12 --cap 1000 text": (0, "9918e80d550fcc7c"),
+    "lemma 1 8 json": (0, "3eca190c5e6e4011"),
+    "lemma 1 8 text": (0, "cf9f76478f1dff88"),
+    "lemma 1 65538 json": (0, "44c6a9925c274cda"),
+    "lemma 1 65538 text": (0, "38458f0741b579d8"),
 }
 
 

@@ -20,6 +20,7 @@ from ghzgraphs.paradox import (
 )
 from ghzgraphs.states import build_state, eigenvalue_of
 from oracles import multiply, satisfied_rows, single_z, with_final_rhs
+from test_search import count_blocks
 
 
 def brute_feasible(system):
@@ -182,6 +183,14 @@ class TestMerminTable:
         with pytest.raises(NotGhzGraphError):
             mermin_table(WeightedGraph.from_edges(2, 2, [(0, 1, 1)]))
 
+    @pytest.mark.parametrize("d", [2**33 + 2, 2**59])
+    def test_rows_commute_past_int64_products(self, d):
+        # g_0's Z exponents d/2 against X_V^†'s d - 1 give z.x = d (d-1), past 2^63
+        h = d // 2
+        table = mermin_table(triangle(d))
+        assert [row.text for row in table.rows] == [
+            f"X Z^{h} Z^{h}", f"Z^{h} X Z^{h}", f"Z^{h} Z^{h} X", "X^† X^† X^†"]
+
     def test_non_commuting_rows_raise(self, monkeypatch):
         # a stray Z_0 on g_0 commutes with every other g_v but not with X_V^†
         real = paradox.vertex_stabilizer
@@ -272,26 +281,29 @@ class TestSubgraphParadox:
         assert check_infeasible_exhaustive(system, cap=2**14).infeasible
 
     def test_scan_skips_free_columns(self, monkeypatch):
-        # a 7-loop on 0..6 with the tail 0-7-8: a_7, a_8 and b_8 occur in no row
-        # of the loop's system, which the scan drops from its 18 columns
+        # a 7-loop on 0..6 with the tail 0-7-8: a_7, a_8 and b_8 occur in no row of the
+        # loop's system.  At a block of 64 residue vectors a_7 and a_8 lie above the listed
+        # block, so the 18-column scan runs them over their own order 1 and runs as many
+        # blocks as the scan of the 15 used columns
         adj = np.zeros((9, 9), dtype=int)
         for u, v in [(v, (v + 1) % 7) for v in range(7)] + [(0, 7), (7, 8)]:
             adj[u][v] = adj[v][u] = 1
         system = subgraph_paradox(WeightedGraph(2, adj), range(7))
-        widths = []
-
-        def recording_scan(forms, tables, base):
-            widths.append(np.shape(forms)[1])
-            return _search.scan_max(forms, tables, base)
-
-        monkeypatch.setattr(paradox, "scan_max", recording_scan)
+        used = system.coeffs.any(axis=0)
+        assert np.flatnonzero(~used).tolist() == [7, 8, 17]
+        monkeypatch.setattr(_search, "BLOCK", 64)
+        blocks = count_blocks(monkeypatch)
         feasible = ParadoxSystem(2, 9, system.coeffs, [1] + [0] * 6 + [1])  # row sums agree
         for case in (system, with_final_rhs(system, 0), feasible):
             tables = (np.arange(2) == case.rhs[:, None]).astype(np.int64)
-            best, witness = _search.scan_max(case.coeffs, tables, 2)
+            start = len(blocks)
+            best, reduced = _search.scan_max(case.coeffs[:, used], tables, 2)
+            used_blocks = len(blocks) - start
+            witness = np.zeros(18, dtype=int)
+            witness[used] = reduced
             full = InfeasibilityCertificate(
                 method="exhaustive", infeasible=best < 8, searched=2**18, max_satisfied_rows=best,
-                satisfying_witness=witness if best == 8 else None)
+                satisfying_witness=tuple(witness.tolist()) if best == 8 else None)
             assert check_infeasible_exhaustive(case) == full
-        assert widths == [15, 15, 15]
+            assert len(blocks) - start == 2 * used_blocks > 2
         assert full.satisfying_witness is not None and any(full.satisfying_witness)

@@ -4,6 +4,8 @@ reported, and the one size check behind every cap."""
 
 import itertools
 import tracemalloc
+import types
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +31,25 @@ def loop_scan_max(forms, tables, base):
         if best is None or value > best:
             best, witness = value, digits
     return best.item(), witness
+
+
+def blocked_scan(forms, tables, base, block):
+    """scan_max with _search.BLOCK set to ``block`` for the call."""
+    with patch.object(_search, "BLOCK", block):
+        return scan_max(forms, tables, base)
+
+
+def count_blocks(monkeypatch):
+    """A list that grows by one entry for each block scan_max runs from now on."""
+    blocks = []
+
+    def product(*ranges):
+        for block in itertools.product(*ranges):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(_search, "itertools", types.SimpleNamespace(product=product))
+    return blocks
 
 
 def lattice_scan_case(n, d):
@@ -72,32 +93,50 @@ class TestScanMax:
         # two and three digits; the digit above runs one translate per block,
         # and three, three, two and one digits are left to the block loop
         forms, tables = random_case(chunk, rows=5, num_digits=5, base=3, floats=floats)
-        assert scan_max(forms, tables, 3, chunk=chunk) == loop_scan_max(forms, tables, 3)
+        assert blocked_scan(forms, tables, 3, chunk) == loop_scan_max(forms, tables, 3)
 
     @pytest.mark.parametrize("chunk", [2, 3, 4])
     def test_blocks_inside_one_digit(self, chunk):
         forms, tables = random_case(7, rows=3, num_digits=2, base=7, floats=True)
-        assert scan_max(forms, tables, 7, chunk=chunk) == loop_scan_max(forms, tables, 7)
+        assert blocked_scan(forms, tables, 7, chunk) == loop_scan_max(forms, tables, 7)
 
     def test_negative_coefficients(self):
         forms = -np.arange(1, 10).reshape(3, 3)
         tables = np.cos(2 * np.pi / 5 * np.arange(5)) * np.array([[1.0], [2.0], [-1.5]])
-        assert scan_max(forms, tables, 5, chunk=6) == loop_scan_max(forms, tables, 5)
+        assert blocked_scan(forms, tables, 5, 6) == loop_scan_max(forms, tables, 5)
 
     @pytest.mark.parametrize("chunk", [4, 1 << 18])
     def test_all_ties_give_counter_zero(self, chunk):
         forms, _ = random_case(3, rows=3, num_digits=4, base=4, floats=False)
-        assert scan_max(forms, np.full((3, 4), 0.25), 4, chunk=chunk) == (0.75, (0, 0, 0, 0))
+        assert blocked_scan(forms, np.full((3, 4), 0.25), 4, chunk) == (0.75, (0, 0, 0, 0))
 
     def test_late_maximum(self):
         # the only maximum sits at the last counter value
         forms = np.eye(3, dtype=np.int64)
         tables = np.tile(np.arange(4), (3, 1))
-        assert scan_max(forms, tables, 4, chunk=4) == (9, (3, 3, 3))
+        assert blocked_scan(forms, tables, 4, 4) == (9, (3, 3, 3))
+
+    # base 6: two high columns above three random low ones, zero or with
+    # entries sharing a factor with the base, so their own orders multiply
+    # to 1, 6 or 3; at these block sizes both lie above the listed block
+    HIGH = {"zero": ([[0, 0], [0, 0], [0, 0]], 1), "orders 2 and 3": ([[3, 2], [0, 4], [3, 0]], 6),
+            "orders 3 and 1": ([[2, 0], [4, 0], [0, 0]], 3)}
+
+    @pytest.mark.parametrize("floats", [False, True])
+    @pytest.mark.parametrize("block", [1, 4, 36])
+    @pytest.mark.parametrize("high,orders", list(HIGH.values()), ids=list(HIGH))
+    def test_high_digits_run_over_their_own_order(self, monkeypatch, high, orders, block, floats):
+        low, tables = random_case(block, rows=3, num_digits=3, base=6, floats=floats)
+        forms = np.hstack([high, low])
+        blocks = count_blocks(monkeypatch)
+        blocked_scan(low, tables, 6, block)
+        per_low = len(blocks)
+        assert blocked_scan(forms, tables, 6, block) == loop_scan_max(forms, tables, 6)
+        assert len(blocks) - per_low == orders * per_low
 
 
 def assert_matches_loop(forms, tables, base, chunk=1 << 18):
-    got = scan_max(forms, tables, base, chunk=chunk)
+    got = blocked_scan(forms, tables, base, chunk)
     want = loop_scan_max(forms, tables, base)
     assert got == want
     assert repr(got[0]) == repr(want[0])
@@ -191,16 +230,16 @@ class TestDistinctResidues:
         forms = self.BLOCK_CONSTANT[[0, 1, 3]]
         tables = np.full((3, 6), -0.0)
         for chunk in (4, 36, 72):
-            assert repr(scan_max(forms, tables, 6, chunk=chunk)) == "(0.0, (0, 0, 0, 0))"
+            assert repr(blocked_scan(forms, tables, 6, chunk)) == "(0.0, (0, 0, 0, 0))"
 
     @pytest.mark.parametrize("n,d", [(6, 12), (7, 8)])
     def test_lattice_scan_past_one_block(self, n, d):
         # 12^6 and 8^7 distinct residue vectors: blocks of 2^10, BLOCK and
         # 2^16 entries against a 2^18 list of 12^5 or 8^6 vectors
         forms, tables = lattice_scan_case(n, d)
-        want = repr(scan_max(forms, tables, d, chunk=1 << 18))
+        want = repr(blocked_scan(forms, tables, d, 1 << 18))
         for chunk in (2**10, BLOCK, 2**16):
-            assert repr(scan_max(forms, tables, d, chunk=chunk)) == want
+            assert repr(blocked_scan(forms, tables, d, chunk)) == want
 
     def test_lattice_blocks_stay_small(self):
         # the 12^6 lattice scan lists 12^4 residue vectors per block at the
@@ -223,7 +262,7 @@ class TestDistinctResidues:
         tables[0, 123456] = tables[1, 3 * 123456 % base] = 1.0
         tracemalloc.start()
         try:
-            result = scan_max(np.array([[1], [3]]), tables, base, chunk=chunk)
+            result = blocked_scan(np.array([[1], [3]]), tables, base, chunk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,6 +289,23 @@ class TestLatticeMax:
         monkeypatch.setattr(_search, "BLOCK", chunk)
         rep = lattice_bound_brute(n, d)
         assert repr((rep.classical_bound, tuple(rep.witness["exponents"]))) == want
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_digits(self, n):
+        with pytest.raises(ValueError, match="at least 2 digits"):
+            _search.lattice_max(np.cos(np.arange(4)), n, 4)
+
+    def test_one_variable_builds_no_table(self, monkeypatch):
+        # cos x - cos x is 0.0 at every point, so the lowest point attains it without a search
+        def refuse(*args, **kwargs):
+            raise AssertionError("cosine table built at n = 1")
+
+        monkeypatch.setattr(np, "cos", refuse)
+        rep = lattice_bound_brute(1, 10**8)
+        assert repr(rep.classical_bound) == "0.0"
+        assert rep.witness == {"exponents": [0], "angles": [0.0]}
+        assert rep.notes == {"searched": 10**8}
+        assert rep.oracle_agreement is True
 
     def test_leading_negative_zeros_start_from_zero(self):
         # 0 + (-0.0) + (-0.0) - 0.0 at (1, 1) is 0.0, as at (0, 0); added from -0.0 it would be -0.0
