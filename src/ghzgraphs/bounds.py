@@ -9,7 +9,6 @@ matrix and no eigensolver; the dense matrices are the tests' oracle).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -389,21 +388,21 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
 
 
 def _ks_rows(g: WeightedGraph):
-    """(name, factors of the row operator in product order as ``_sparse_product``
-    entries, expected phase) of each operator row of the contextuality
-    expression, one row at a time.
+    """(name, factors of the row operator in product order as a list of
+    ``_sparse_product`` entries, expected phase) of each operator row of the
+    contextuality expression, one row at a time.
 
-    The shift and product rows' entries are made as they are multiplied, so
-    only a few are alive at once.
+    X_V^dagger, which opens the shift and product rows, and each stabilizer
+    row's g_v^dagger are ``_dagger_entry`` of their words' entries.
     """
     d, n = g.d, g.n
-    coll_dagger = (np.arange(n), np.full(n, d - 1), np.zeros(n, dtype=np.int64), 0)  # X_V^dagger = X_V^(d-1)
-    yield "shift_row", itertools.chain([coll_dagger], ((v, 1, 0, 0) for v in range(n))), 0
+    coll_dagger = _dagger_entry(d, (np.arange(n), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0))
+    yield "shift_row", [coll_dagger] + [(v, 1, 0, 0) for v in range(n)], 0
     for v in range(n):
         cols, _, z, _ = entry = _stabilizer_entry(g, v)
         local = [(v, 1, 0, 0)] + [(u, 0, w, 0) for u, w in zip(cols[:-1].tolist(), z[:-1].tolist())]
         yield f"stabilizer_row_{v}", [_dagger_entry(d, entry)] + local, 0
-    yield "product_row", itertools.chain([coll_dagger], (_stabilizer_entry(g, v) for v in range(n))), d // 2
+    yield "product_row", [coll_dagger] + [_stabilizer_entry(g, v) for v in range(n)], d // 2
 
 
 def ks_quantum(g: WeightedGraph) -> BoundReport:
@@ -412,28 +411,33 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     Each of the n+2 operator rows reduces symbolically to a pure phase: the
     shift row and every stabilizer row to the identity, the product row to
     the flip -1 (entering negated).  Each hermitized row then contributes
-    exactly +1 on any state, so the value is n+2.  Each row is reduced by
-    ``_sparse_product`` from its factors' support entries (``_ks_rows``),
-    and its reduced sums are read directly.  When d^n <= DENSE_CAP every
-    row's factors are put into one stack, and each row is composed again,
-    right to left over its own slice of the stack, as exact monomial
+    exactly +1 on any state, so the value is n+2.  One loop over
+    ``_ks_rows`` reduces each row by ``_sparse_product`` from its factors'
+    support entries and reads the reduced sums directly; rows are made one
+    at a time, so above DENSE_CAP only one row's entries are alive at once.
+    When d^n <= DENSE_CAP the loop also keeps every row, and the exact
+    oracle puts all their factors into one stack and composes each row
+    again, right to left over its own slice of the stack, as exact monomial
     actions on the basis, with no word formed; each product must be the
     identity permutation carrying the expected phase on every basis state.
-    Above DENSE_CAP the rows are made one at a time as they are reduced, so
-    that only one row's entries are alive at once.
     """
     require_ghz(g, "contextuality value")
     d, n = g.d, g.n
-    dim = d**n
-    dense = dim <= DENSE_CAP
+    dense = d**n <= DENSE_CAP
     word_checks = {}
-    table = _ks_rows(g)
+    table = []  # every row, kept for the dense oracle
+    for name, factors, expected_phase in _ks_rows(g):
+        x, z, phase = _sparse_product(d, n, factors)
+        word_checks[name] = not x.any() and not z.any() and phase == expected_phase
+        if dense:
+            table.append((name, factors, expected_phase))
+    if not all(word_checks.values()):
+        raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
     if dense:
-        table = [(name, list(factors), expected_phase) for name, factors, expected_phase in table]
         stack = _entry_stack(d, n, [f for _, factors, _ in table for f in factors])
         actions = _composed_actions(d, stack, [len(factors) for _, factors, _ in table])
         delta = _flip_delta(d)
-        identity = np.arange(dim)
+        identity = np.arange(d**n)
         total, exact = 0, True
         for (name, _, expected_phase), (index, phase) in zip(table, actions):
             phase %= d
@@ -441,11 +445,6 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
             # a hermitized pure phase omega^c is cos(2 pi c / d) times I; c is 0 or d/2 here
             sign = -1 if name == "product_row" else 1
             total += sign * int(delta[phase[0]])
-    for name, factors, expected_phase in table:
-        x, z, phase = _sparse_product(d, n, factors)
-        word_checks[name] = not x.any() and not z.any() and phase == expected_phase
-    if not all(word_checks.values()):
-        raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
 
     value = float(n + 2)
     oracle_value = float(total) if dense else None

@@ -201,12 +201,14 @@ def cmd_lemma(args) -> int:
     from . import bounds
 
     closed = bounds.lattice_bound_closed(args.n, args.d)
-    sweep_max = max(bounds._sweep_values(args.n, args.d))
+    sweep_max = None  # the sweep's n + 1 points count against the cap like the scan's d^n
+    if args.n + 1 <= args.cap:
+        sweep_max = max(bounds._sweep_values(args.n, args.d))
     brute = bounds.BoundReport(kind="lattice_brute")  # over cap: no maximum, witness or check
     with contextlib.suppress(CapExceededError):
         brute = bounds.lattice_bound_brute(args.n, args.d, cap=args.cap)
     # a sweep off the closed form fails the command even when the scan is skipped
-    agreement = abs(sweep_max - closed) <= TOLERANCE and brute.oracle_agreement
+    agreement = (sweep_max is None or abs(sweep_max - closed) <= TOLERANCE) and brute.oracle_agreement
     doc = {
         "kind": "lemma",
         "n": args.n,

@@ -68,9 +68,8 @@ class PauliWord:
 
 
 def dagger(w: PauliWord) -> PauliWord:
-    """Inverse word (equals the adjoint, since words are unitary)."""
-    cross = int(np.dot(w.z_exp, w.x_exp))
-    return PauliWord(w.d, -w.x_exp, -w.z_exp, -w.phase_exp + cross)
+    """Inverse word (equals the adjoint, since words are unitary): ``_dagger_entry``'s word form."""
+    return PauliWord(w.d, *_dagger_entry(w.d, (None, w.x_exp, w.z_exp, w.phase_exp))[1:])
 
 
 def vertex_stabilizer(g: WeightedGraph, v: int) -> PauliWord:
@@ -99,9 +98,10 @@ def _stabilizer_stack(g: WeightedGraph, last_z) -> tuple:
 
 
 def _dagger_entry(d: int, entry: tuple) -> tuple:
-    """The entry of ``dagger`` of the entry's word: omega^{z.x - p} X^{-x} Z^{-z}."""
+    """The entry of the inverse of the entry's word, omega^{z.x - p} X^{-x} Z^{-z}: the package's one inverse
+    formula.  z.x is summed in Python ints, exact at any d; x and z may be arrays or plain ints."""
     cols, x, z, p = entry
-    return cols, -x % d, -z % d, (int(np.dot(z, x)) - p) % d
+    return cols, -x % d, -z % d, (int(np.dot(np.asarray(z, dtype=object), np.asarray(x, dtype=object))) - p) % d
 
 
 def _power_stack(d: int, stack, k) -> tuple:

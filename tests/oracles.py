@@ -41,10 +41,15 @@ def _check_same_space(w1: PauliWord, w2: PauliWord) -> None:
         raise ValueError(f"dimension mismatch: (d={w1.d}, n={w1.n}) vs (d={w2.d}, n={w2.n})")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """a.b in Python ints, exact where an int64 dot wraps at a wide d."""
+    return sum(s * t for s, t in zip(a.tolist(), b.tolist()))
+
+
 def multiply(w1: PauliWord, w2: PauliWord) -> PauliWord:
     """Normal-form product; reordering costs omega^{sum_v z1[v] x2[v]}."""
     _check_same_space(w1, w2)
-    phase = w1.phase_exp + w2.phase_exp + int(np.dot(w1.z_exp, w2.x_exp))
+    phase = w1.phase_exp + w2.phase_exp + _dot(w1.z_exp, w2.x_exp)
     return PauliWord(w1.d, w1.x_exp + w2.x_exp, w1.z_exp + w2.z_exp, phase)
 
 
@@ -52,7 +57,7 @@ def power(w: PauliWord, k: int) -> PauliWord:
     """k-th power via the closed form omega^{k p + k(k-1)/2 z.x} X^{kx} Z^{kz}."""
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
-    cross = int(np.dot(w.z_exp, w.x_exp))
+    cross = _dot(w.z_exp, w.x_exp)
     phase = k * w.phase_exp + (k * (k - 1) // 2) * cross
     return PauliWord(w.d, k * w.x_exp, k * w.z_exp, phase)
 
@@ -60,7 +65,7 @@ def power(w: PauliWord, k: int) -> PauliWord:
 def commutation_phase(w1: PauliWord, w2: PauliWord) -> int:
     """c with w1 w2 = omega^c w2 w1; zero means the words commute."""
     _check_same_space(w1, w2)
-    c = int(np.dot(w1.z_exp, w2.x_exp)) - int(np.dot(w1.x_exp, w2.z_exp))
+    c = _dot(w1.z_exp, w2.x_exp) - _dot(w1.x_exp, w2.z_exp)
     return c % w1.d
 
 

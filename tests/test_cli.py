@@ -15,7 +15,7 @@ import pytest
 
 from ghzgraphs import bounds, cli, graphs, paradox, states
 from ghzgraphs.graphs import graph_from_dict, k4, odd_loop, save_graph, triangle
-from oracles import identity, multiply, single_z
+from oracles import multiply, single_z
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -230,6 +230,22 @@ class TestBounds:
         assert doc["brute_max"] is None
         assert doc["agreement"] == "skipped"
 
+    def test_lemma_sweep_skipped_over_cap(self, monkeypatch, capsys):
+        # the sweep's n + 1 points count against --cap: at the cap it runs, over it no point is evaluated
+        assert cli.main(["lemma", "6", "12", "--cap", "7"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sweep_max"] == pytest.approx(doc["closed_form"], abs=1e-9) and doc["brute_max"] is None
+
+        def refuse(n, d):
+            raise AssertionError("swept over cap")
+        monkeypatch.setattr(bounds, "_sweep_values", refuse)
+        for argv, closed in ((["6", "12", "--cap", "6"], doc["closed_form"]), (["1000000000", "4"], 999999999.0)):
+            assert cli.main(["lemma", *argv]) == cli.EXIT_OK
+            over = json.loads(capsys.readouterr().out)
+            assert over["closed_form"] == pytest.approx(closed, abs=1e-9)
+            assert over["sweep_max"] is None and over["brute_max"] is None
+            assert over["agreement"] == "skipped"
+
     def test_ks_direct_skipped_over_cap(self, k4_d4_file):
         proc = run_cli("ks", k4_d4_file, "--cap", "1000")
         assert proc.returncode == 0
@@ -282,8 +298,9 @@ class TestStateVerify:
         assert doc["flip_check"] is False and doc["all_pass"] is False
 
     def test_failed_product_word_exits_one(self, triangle_file, monkeypatch, capsys):
-        # the stabilizer product reads as the identity instead of omega^W X_V prod_v Z_v^D_v
-        monkeypatch.setattr(states, "stabilizer_product", lambda g, vertices: identity(g.d, g.n))
+        # the stabilizer product reduces to the identity's sums instead of omega^W X_V prod_v Z_v^D_v
+        monkeypatch.setattr(states, "_sparse_product",
+                            lambda d, n, entries: (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0))
         rep = states.verify_stabilizers(triangle(2))
         assert rep.product_word_check is False and rep.all_pass is False
         assert rep.vertex_check and rep.flip_check

@@ -10,6 +10,7 @@ from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, triangle
 from ghzgraphs.pauli import (
     PauliWord,
     _action_stacks,
+    _dagger_entry,
     _word_stack,
     dagger,
     render_word,
@@ -128,6 +129,20 @@ class TestDagger:
             d, n = int(rng.integers(2, 5)), int(rng.integers(1, 3))
             w = random_word(rng, d, n)
             assert np.abs(to_matrix(dagger(w)) - to_matrix(w).conj().T).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2**33 + 2, 10**15 + 2, 2**40])
+    def test_inverse_is_exact_at_wide_d(self, d):
+        # z.x passes 2^63 here; both products are checked in Python ints
+        w = PauliWord(d, [d - 1, d // 2 + 1], [d - 3, d - 1], 5)
+        inv = dagger(w)
+        x, z, inv_x, inv_z = (a.tolist() for a in (w.x_exp, w.z_exp, inv.x_exp, inv.z_exp))
+        assert all((a + b) % d == 0 for a, b in zip(x + z, inv_x + inv_z))
+        # moving the left factor's Z block past the right factor's X block costs omega^(z.x)
+        assert (w.phase_exp + inv.phase_exp + sum(a * b for a, b in zip(z, inv_x))) % d == 0
+        assert (inv.phase_exp + w.phase_exp + sum(a * b for a, b in zip(inv_z, x))) % d == 0
+        assert multiply(w, inv) == multiply(inv, w) == identity(d, 2)
+        # a one-site entry with plain int exponents: omega^((d-1)^2) = omega
+        assert _dagger_entry(d, (0, d - 1, d - 1, 0)) == (0, 1, 1, 1)
 
 
 class TestStabilizers:

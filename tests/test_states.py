@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_graph_state, dense_word
-from ghzgraphs import graphs
+from ghzgraphs import graphs, states
 from ghzgraphs.errors import CapExceededError
 from ghzgraphs.graphs import WeightedGraph, enumerate_ghz_graphs, k4, odd_loop, triangle
 from ghzgraphs.pauli import PauliWord, to_matrix, vertex_stabilizer
@@ -153,6 +153,31 @@ class TestVerifyStabilizers:
             assert rep.vertex_check
             assert rep.product_word_check
             assert rep.flip_check
+
+    def test_builds_no_word(self, monkeypatch):
+        # the product relation is read from _sparse_product's sums, as bell_quantum reads it
+        cases = [k4(6, 1, 1, 1), odd_loop(5)]
+        reports = [verify_stabilizers(g) for g in cases]
+
+        def refuse(*args):
+            raise AssertionError("built a PauliWord")
+        monkeypatch.setattr(states, "PauliWord", refuse)
+        assert [verify_stabilizers(g) for g in cases] == reports
+        assert all(rep.product_word_check for rep in reports)
+
+    @pytest.mark.parametrize("part", ["x", "z", "phase"])
+    def test_product_check_reads_every_sum(self, monkeypatch, part):
+        # one sum of the reduced product off by one fails the product check alone
+        real = states._sparse_product
+
+        def off(d, n, entries):
+            sums = dict(zip(["x", "z", "phase"], real(d, n, entries)))
+            sums[part] = (sums[part] + 1) % d
+            return sums["x"], sums["z"], sums["phase"]
+        monkeypatch.setattr(states, "_sparse_product", off)
+        rep = verify_stabilizers(k4(6, 1, 1, 1))
+        assert not rep.product_word_check and not rep.all_pass
+        assert rep.vertex_check and rep.flip_check
 
     def test_state_cap_refused_before_classifying(self, monkeypatch):
         def refuse(*args):
