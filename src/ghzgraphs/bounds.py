@@ -18,7 +18,7 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import BLOCK, lattice_max, scan_max, search_size
 from .defaults import DENSE_CAP, SEARCH_CAP, TOLERANCE
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError, gate
 from .graphs import WeightedGraph, require_ghz
 from .pauli import (_composed_actions, _dagger_entry, _entry_stack, _identity_rows, _power_stack, _sparse_product,
                     _stabilizer_entry, _stabilizer_stack)
@@ -97,7 +97,7 @@ def bell_classical_value(g: WeightedGraph, assignment: ClassicalAssignment) -> f
                   + sum(int(e == 0) - int(e == h) for e in site_exp))
 
     exps = np.append(site_exp, coll_exp)
-    if exps.size * h > SEARCH_CAP:
+    if not gate(search_size, "cosine series", exps.size * h, 1, SEARCH_CAP):
         return value
     signs = np.append(np.ones(g.n), -1.0)
     step = max(1, BLOCK // exps.size)
@@ -185,7 +185,7 @@ def bell_quantum(g: WeightedGraph) -> BoundReport:
     oracle_value = None
     agreement = None
     notes = {}
-    if d**n <= DENSE_CAP:
+    if gate(search_size, "Bell oracle", d, n, DENSE_CAP):
         psi = build_state(g)
         delta = _flip_delta(d)
         h = d // 2
@@ -314,6 +314,12 @@ def _sweep_values(n: int, d: int):
             for m in range(n + 1))
 
 
+def _sweep_max(n: int, d: int, cap: int) -> float:
+    """The largest of ``_sweep_values``; its n + 1 points count against ``cap`` like a scan's d^n."""
+    search_size("lattice sweep", n + 1, 1, cap)
+    return max(_sweep_values(n, d))
+
+
 def lattice_bound_sweep(n: int, d: int) -> SweepResult:
     """Maximize the objective over vectors mixing the floor and ceiling
     lattice angles around lam = d / (2 (n+1))."""
@@ -367,23 +373,15 @@ def ks_classical_max(g: WeightedGraph, cap: int = SEARCH_CAP) -> BoundReport:
     require_ghz(g, "contextuality bound")
     d, n = g.d, g.n
     bound = lattice_bound_closed(n + 1, d)
-    oracle_value = None
-    agreement = None
-    witness = None
-    try:
-        space = search_size("KS direct scan", d, 3 * n + 1, cap)
-    except CapExceededError:
-        space = f"{d}^{3 * n + 1}"  # over cap the size is written as in cap messages
-    else:
-        oracle_value, witness = _ks_direct_max(g)
-        agreement = abs(oracle_value - bound) <= TOLERANCE
+    space = gate(search_size, "KS direct scan", d, 3 * n + 1, cap)
+    oracle_value, witness = _ks_direct_max(g) if space else (None, None)
     return BoundReport(
         kind="ks_classical",
         classical_bound=bound,
         witness=witness,
         oracle_value=oracle_value,
-        oracle_agreement=agreement,
-        notes={"direct_space": space, "lattice_variables": n + 1},
+        oracle_agreement=abs(oracle_value - bound) <= TOLERANCE if space else None,
+        notes={"direct_space": space or f"{d}^{3 * n + 1}", "lattice_variables": n + 1},
     )
 
 
@@ -423,21 +421,21 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
     """
     require_ghz(g, "contextuality value")
     d, n = g.d, g.n
-    dense = d**n <= DENSE_CAP
+    dim = gate(search_size, "KS oracle", d, n, DENSE_CAP)
     word_checks = {}
     table = []  # every row, kept for the dense oracle
     for name, factors, expected_phase in _ks_rows(g):
         x, z, phase = _sparse_product(d, n, factors)
         word_checks[name] = not x.any() and not z.any() and phase == expected_phase
-        if dense:
+        if dim:
             table.append((name, factors, expected_phase))
     if not all(word_checks.values()):
         raise InvariantError(f"operator rows failed to reduce to pure phases: {word_checks}")
-    if dense:
+    if dim:
         stack = _entry_stack(d, n, [f for _, factors, _ in table for f in factors])
         actions = _composed_actions(d, stack, [len(factors) for _, factors, _ in table])
         delta = _flip_delta(d)
-        identity = np.arange(d**n)
+        identity = np.arange(dim)
         total, exact = 0, True
         for (name, _, expected_phase), (index, phase) in zip(table, actions):
             phase %= d
@@ -447,8 +445,8 @@ def ks_quantum(g: WeightedGraph) -> BoundReport:
             total += sign * int(delta[phase[0]])
 
     value = float(n + 2)
-    oracle_value = float(total) if dense else None
-    agreement = exact and oracle_value == value if dense else None
+    oracle_value = float(total) if dim else None
+    agreement = exact and oracle_value == value if dim else None
     bound = lattice_bound_closed(n + 1, d)
     return BoundReport(
         kind="ks_quantum",

@@ -14,13 +14,12 @@ load no numpy, and ``check`` loads no dense or bounds code.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
 
 from .defaults import SEARCH_CAP, TOLERANCE
-from .errors import CapExceededError, InvariantError, NotGhzGraphError
+from .errors import CapExceededError, InvariantError, NotGhzGraphError, gate
 
 EXIT_OK = 0
 EXIT_PREDICATE_FALSE = 1
@@ -128,19 +127,15 @@ def cmd_paradox(args) -> int:
     system = paradox.constraint_system(g)
     table = paradox.mermin_table(g)
     gen = paradox.genuineness(g)
-    certificates = {"algebraic": dataclasses.asdict(paradox.check_infeasible_algebraic(system)),
-                    "exhaustive": "skipped"}
-    agreement = None  # over cap the scan does not run; the algebraic proof holds at any size
-    with contextlib.suppress(CapExceededError):
-        exhaustive = paradox.check_infeasible_exhaustive(system, cap=args.cap)
-        certificates["exhaustive"] = dataclasses.asdict(exhaustive)
-        agreement = exhaustive.infeasible
+    algebraic = paradox.check_infeasible_algebraic(system)  # holds at any size; the scan runs within cap
+    exhaustive = gate(paradox.check_infeasible_exhaustive, system, args.cap)
     doc = {
         "graph": graphs.graph_to_dict(g),
         "system": {"rows": system.num_rows, "variables": system.num_vars,
                    "final_rhs": int(system.rhs[-1])},
-        "certificates": certificates,
-        "agreement": _agreement("agreement", agreement),
+        "certificates": {"algebraic": dataclasses.asdict(algebraic),
+                         "exhaustive": "skipped" if exhaustive is None else dataclasses.asdict(exhaustive)},
+        "agreement": _agreement("agreement", None if exhaustive is None else exhaustive.infeasible),
         "genuineness": {"n_partite": gen.n_partite, "d_level": gen.d_level},
         "mermin_table": table.render(),
     }
@@ -154,18 +149,16 @@ def cmd_bell(args) -> int:
     g = graphs.load_graph(args.graph)
     quantum = bounds.bell_quantum(g)
     bound = quantum.classical_bound  # closed form; the scan only confirms it, within cap
-    witness, searched = None, "skipped"
-    with contextlib.suppress(CapExceededError):
-        scan = bounds.bell_classical_max(g, cap=args.cap)
-        if scan.classical_bound != bound:
-            raise InvariantError(f"Bell scan maximum {scan.classical_bound} differs from the closed form {bound}")
-        witness, searched = scan.witness, scan.notes["searched"]
+    scan = gate(bounds.bell_classical_max, g, args.cap) or bounds.BoundReport(
+        kind="bell_classical", classical_bound=bound, notes={"searched": "skipped"})
+    if scan.classical_bound != bound:
+        raise InvariantError(f"Bell scan maximum {scan.classical_bound} differs from the closed form {bound}")
     doc = {
         "kind": "bell",
         "graph": graphs.graph_to_dict(g),
         "classical_bound": bound,
-        "classical_witness": witness,
-        "classical_searched": searched,
+        "classical_witness": scan.witness,
+        "classical_searched": scan.notes["searched"],
         "quantum_value": quantum.quantum_value,
         "ratio": quantum.quantum_value / bound,
         "oracle_value": quantum.oracle_value,
@@ -201,12 +194,8 @@ def cmd_lemma(args) -> int:
     from . import bounds
 
     closed = bounds.lattice_bound_closed(args.n, args.d)
-    sweep_max = None  # the sweep's n + 1 points count against the cap like the scan's d^n
-    if args.n + 1 <= args.cap:
-        sweep_max = max(bounds._sweep_values(args.n, args.d))
-    brute = bounds.BoundReport(kind="lattice_brute")  # over cap: no maximum, witness or check
-    with contextlib.suppress(CapExceededError):
-        brute = bounds.lattice_bound_brute(args.n, args.d, cap=args.cap)
+    sweep_max = gate(bounds._sweep_max, args.n, args.d, args.cap)
+    brute = gate(bounds.lattice_bound_brute, args.n, args.d, args.cap) or bounds.BoundReport(kind="lattice_brute")
     # a sweep off the closed form fails the command even when the scan is skipped
     agreement = (sweep_max is None or abs(sweep_max - closed) <= TOLERANCE) and brute.oracle_agreement
     doc = {

@@ -1,4 +1,5 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and ``gate``: an oracle over its cap refuses with
+CapExceededError (its size rule, ``_search.search_size``, is its own), and ``gate`` skips it."""
 
 
 class CapExceededError(RuntimeError):
@@ -15,3 +16,11 @@ class GraphFormatError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal self-check failed: two derivations of one result disagree."""
+
+
+def gate(oracle, *args):
+    """``oracle(*args)``, or None when it raises CapExceededError; so ``gate(search_size, ...)`` is the size or None."""
+    try:
+        return oracle(*args)
+    except CapExceededError:
+        return None

@@ -17,7 +17,7 @@ import numpy as np
 from ._search import digit_chunks  # noqa: F401  unused; perfbench/spans.py patches this name when tracing
 from ._search import scan_max, search_size
 from .defaults import SEARCH_CAP
-from .errors import InvariantError
+from .errors import InvariantError, NotGhzGraphError
 from .graphs import WeightedGraph, _vertex_subset, classify_ghz, require_ghz, subgraph
 from .pauli import PauliWord, dagger, render_word, vertex_stabilizer
 
@@ -225,8 +225,9 @@ class Genuineness:
 def genuineness(g: WeightedGraph) -> Genuineness:
     """Party-irreducibility follows from connectivity; level-irreducibility
     from the (weak) coprimality structure of the incident weights."""
-    require_ghz(g, "genuineness")
-    rep = classify_ghz(g)
+    rep = classify_ghz(g)  # its failure reasons are require_ghz's, so the GHZ tests run once
+    if rep.failure_reasons:
+        raise NotGhzGraphError(f"genuineness needs a GHZ graph; failed: {', '.join(rep.failure_reasons)}")
     if rep.is_primary:
         level = "full"
     elif rep.is_weakly_primary:

@@ -246,6 +246,18 @@ class TestBounds:
             assert over["sweep_max"] is None and over["brute_max"] is None
             assert over["agreement"] == "skipped"
 
+    @pytest.mark.parametrize("argv, size, field, ran", [
+        (("paradox", "GRAPH"), 2**6, "agreement", True),
+        (("bell", "GRAPH"), 2**6, "classical_searched", 2**6),
+        (("ks", "GRAPH"), 2**10, "direct_agreement", True),
+        (("lemma", "3", "8"), 8**3, "agreement", True),
+    ], ids=["paradox", "bell", "ks", "lemma"])
+    def test_oracle_runs_at_its_size_and_is_skipped_below(self, triangle_file, capsys, argv, size, field, ran):
+        argv = [triangle_file if a == "GRAPH" else a for a in argv]
+        for cap, expected in ((size, ran), (size - 1, "skipped")):
+            assert cli.main([*argv, "--cap", str(cap)]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)[field] == expected
+
     def test_ks_direct_skipped_over_cap(self, k4_d4_file):
         proc = run_cli("ks", k4_d4_file, "--cap", "1000")
         assert proc.returncode == 0

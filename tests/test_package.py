@@ -1,6 +1,8 @@
-"""Package surface and start-up: which names ``ghzgraphs`` exports, and which
-modules each subcommand loads in a fresh interpreter."""
+"""Package surface and start-up: which names ``ghzgraphs`` exports, which
+modules each subcommand loads in a fresh interpreter, and that every
+over-cap skip in the source goes through ``errors.gate``."""
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +111,31 @@ class TestPublicSurface:
     def test_unknown_attribute_raises(self, name):
         with pytest.raises(AttributeError, match=name):
             getattr(ghzgraphs, name)
+
+
+def _names(node) -> set:
+    """Every name and attribute name in the expression."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+class TestOneOracleGate:
+    def test_over_cap_skips_go_through_gate(self):
+        # an oracle over its cap is skipped only by errors.gate, so a size rule changes in the oracle alone
+        handlers, contextlib_imports, power_cap_compares = [], [], []
+        for path in sorted((Path(SRC) / "ghzgraphs").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ExceptHandler) and node.type and "CapExceededError" in _names(node.type):
+                    handlers.append((path.name, owner.get(node)))
+                if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "contextlib" for a in node.names) \
+                        or isinstance(node, ast.ImportFrom) and node.module == "contextlib":
+                    contextlib_imports.append(path.name)
+                if isinstance(node, ast.Compare) and any("cap" in name.lower() for name in _names(node)) and any(
+                        isinstance(x, ast.BinOp) and isinstance(x.op, ast.Pow) for x in [node.left, *node.comparators]):
+                    power_cap_compares.append((path.name, node.lineno))
+        assert handlers == [("errors.py", "gate")]
+        assert contextlib_imports == []
+        assert power_cap_compares == []
