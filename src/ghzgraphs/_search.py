@@ -46,12 +46,36 @@ def counter_digits(values, num_digits: int, base: int) -> np.ndarray:
 def digit_chunks(num_digits: int, base: int, chunk: int):
     """Yield (start, digits) blocks covering every base**num_digits counter value.
 
-    ``digits`` is counter_digits of the block; blocks come in ascending
-    counter order.
+    ``digits`` is counter_digits of the block's values start, start + 1, ...;
+    blocks come in ascending counter order, so each start is the sum of the
+    sizes before it.  Every block holds between 1 and ``chunk`` values, and
+    there are fewer than 2 * ceil(base**num_digits / chunk) blocks.
+
+    No value is divided, as in scan_max: the low k digits, for the largest
+    k with base**k <= chunk, are one table counter_digits(arange(base**k)),
+    built once.  A block is t = chunk // base**k consecutive values of the
+    digit above the table (fewer at the top of that digit) times the table,
+    with the digits above that one constant.
     """
-    total = base**num_digits
-    for start in range(0, total, chunk):
-        yield start, counter_digits(np.arange(start, min(start + chunk, total)), num_digits, base)
+    k, size = 0, 1
+    while k < num_digits and size * base <= chunk:
+        k, size = k + 1, size * base
+    table = counter_digits(np.arange(size), k, base)
+    if k == num_digits:
+        yield 0, table
+        return
+    above = num_digits - k - 1  # the digit above the table
+    step = chunk // size
+    start = 0
+    for high in itertools.product(range(base), repeat=above):
+        for top in range(0, base, step):
+            t = min(step, base - top)
+            digits = np.empty((num_digits, t * size), dtype=np.int64)
+            digits[:above] = np.array(high, dtype=np.int64)[:, None]
+            digits[above].reshape(t, size)[:] = np.arange(top, top + t)[:, None]
+            digits[above + 1:].reshape(k, t, size)[:] = table[:, None, :]
+            yield start, digits
+            start += t * size
 
 
 def scan_max(forms, tables, base: int):

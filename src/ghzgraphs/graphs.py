@@ -389,8 +389,9 @@ def enumerate_ghz_graphs(n: int, d: int, dedup_isomorphism: bool = False, cap: i
     Graphs come in ascending order of the base-d encoding of the edge slots
     (0,1),(0,2),...,(n-2,n-1).  With dedup_isomorphism only the
     encoding-minimal member of each isomorphism class is yielded.  Each block
-    of counter values is tested by ``_ghz_blocks`` as an (n, n, c) stack of
-    at most ``BLOCK`` entries, and only the graphs that pass are built.  With
+    of counter values from ``digit_chunks``, at most BLOCK // n^2 codes, is
+    tested by ``_ghz_blocks`` as an (n, n, c) stack of at most ``BLOCK``
+    entries, and only the graphs that pass are built.  With
     dedup_isomorphism the hits of a stack that some vertex transposition
     lowers are dropped first (``_drop_swap_beaten``), and only the rest are
     built and checked against ``canonical_code``.

@@ -12,6 +12,7 @@ from ghzgraphs.bounds import bell_quantum, ks_classical_max, ks_quantum
 from ghzgraphs.errors import CapExceededError, GraphFormatError
 from ghzgraphs.graphs import (
     WeightedGraph,
+    _adj_dtype,
     canonical_code,
     classify_ghz,
     complete_4j3,
@@ -357,12 +358,33 @@ class TestEnumeration:
         assert len(found) > 0
 
     def test_five_vertices_d4_across_stack_boundaries(self):
-        # 4^10 codes run through about 800 stacks of BLOCK entries
+        # 4^10 codes run through 1,024 stacks of 1,024 codes
         found = list(enumerate_ghz_graphs(5, 4))
         codes = [tuple(int(x) for x in g.adj[np.triu_indices(5, 1)]) for g in found]
         assert len(codes) == 954
         assert all(a < b for a, b in zip(codes, codes[1:]))
         assert all(classify_ghz(g).is_ghz for g in found)
+
+    @pytest.mark.parametrize("n, d, block", [
+        *[(n, d, block) for n, d in [(4, 4), (4, 6), (5, 2), (6, 2)] for block in (graphs.BLOCK, 16, 50)],
+        (4, 8, graphs.BLOCK),
+        (5, 4, graphs.BLOCK),
+    ])
+    def test_yielded_graphs_are_the_graphs_of_their_codes(self, monkeypatch, n, d, block):
+        # stacks of BLOCK 16 and 50 hold one to three codes, so only counters of at
+        # most 6^6 codes run with them: 8^6 and 4^10 codes take 3 to 40 s a walk
+        monkeypatch.setattr(graphs, "BLOCK", block)
+        us, vs = np.triu_indices(n, 1)
+        labelled = list(enumerate_ghz_graphs(n, d))
+        reps = list(enumerate_ghz_graphs(n, d, dedup_isomorphism=True))
+        for found in (labelled, reps):
+            codes = [tuple(g.adj[us, vs].tolist()) for g in found]
+            assert found == [graph_from_code(n, d, code) for code in codes]
+            assert all(g.adj.dtype == _adj_dtype(d) and not g.adj.flags.writeable for g in found)
+        codes = [tuple(g.adj[us, vs].tolist()) for g in labelled]
+        if d ** len(us) <= 8**6:
+            assert codes == brute_ghz_scan(n, d)
+        assert reps == [g for g, code in zip(labelled, codes) if code == canonical_code(g)]
 
     @pytest.mark.parametrize("code", [(1, 2), (1,), 1, (1, 2, 3, 4)], ids=["short", "one", "scalar", "long"])
     def test_graph_from_code_rejects_wrong_length(self, code):

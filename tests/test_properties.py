@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghzgraphs import _search, bounds, paradox, pauli  # noqa: E402
-from ghzgraphs._search import BLOCK, lattice_max, scan_max  # noqa: E402
+from ghzgraphs._search import BLOCK, counter_digits, digit_chunks, lattice_max, scan_max  # noqa: E402
 from ghzgraphs.bounds import _bell_terms, _flip_delta, _ks_rows, bell_classical_max, bell_quantum, ks_quantum  # noqa: E402
 from ghzgraphs.errors import InvariantError, NotGhzGraphError  # noqa: E402
 from ghzgraphs.graphs import (  # noqa: E402
@@ -76,7 +76,7 @@ from oracles import (  # noqa: E402
     to_dense,
     word_action,
 )
-from test_search import blocked_scan, loop_scan_max  # noqa: E402
+from test_search import assert_chunk_contract, blocked_scan, loop_scan_max  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -712,6 +712,28 @@ def test_find_ghz_subgraphs_matches_subset_loop(case):
     assert found == subset_loop_ghz(g, lo, hi)
     if planted is not None and lo <= len(planted) <= hi:
         assert planted in found
+
+
+@st.composite
+def chunk_cases(draw):
+    """Counters of up to 9^6 values and blocks of 1 to 600, with at most 4096 blocks."""
+    base = draw(st.integers(2, 9))
+    num_digits = draw(st.integers(0, 6))
+    chunk = draw(st.integers(max(1, -(-base**num_digits // 4096)), 600))
+    return num_digits, base, chunk
+
+
+@settings(PROPERTY, max_examples=150)
+@given(chunk_cases())
+@example((3, 9, 5))  # base > chunk: one-value blocks
+@example((4, 3, 81))  # the whole counter in one block
+@example((0, 2, 1))
+def test_digit_chunks_join_to_the_counter(case):
+    num_digits, base, chunk = case
+    blocks = list(digit_chunks(num_digits, base, chunk))
+    assert_chunk_contract(blocks, base**num_digits, chunk)
+    joined = np.concatenate([digits for _, digits in blocks], axis=1)
+    assert np.array_equal(joined, counter_digits(np.arange(base**num_digits), num_digits, base))
 
 
 @st.composite

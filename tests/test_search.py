@@ -52,6 +52,16 @@ def count_blocks(monkeypatch):
     return blocks
 
 
+def assert_chunk_contract(blocks, total, chunk):
+    """digit_chunks' block rules: each start is the sum of the sizes before it, every
+    block holds 1 to ``chunk`` values, and there are at most 2 * ceil(total / chunk) blocks."""
+    sizes = [digits.shape[1] for _, digits in blocks]
+    assert [start for start, _ in blocks] == list(itertools.accumulate(sizes, initial=0))[:-1]
+    assert all(1 <= size <= chunk for size in sizes)
+    assert sum(sizes) == total
+    assert len(blocks) <= 2 * -(-total // chunk)
+
+
 def lattice_scan_case(n, d):
     """The forms and tables of the cosine objective over the lattice, as scan_max reads them."""
     table = np.cos(2 * np.pi / d * np.arange(d))
@@ -74,7 +84,7 @@ class TestCounterDigits:
 
     def test_chunks_cover_the_counter_in_order(self):
         blocks = list(digit_chunks(4, 3, chunk=10))
-        assert [start for start, _ in blocks] == list(range(0, 81, 10))
+        assert_chunk_contract(blocks, 81, 10)
         joined = np.concatenate([digits for _, digits in blocks], axis=1)
         assert np.array_equal(joined, counter_digits(np.arange(81), 4, 3))
 
