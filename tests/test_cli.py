@@ -21,11 +21,14 @@ from oracles import multiply, single_z
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def cli_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args, timeout=300):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "ghzgraphs", *args],
-        capture_output=True, text=True, env=env, timeout=timeout)
+        capture_output=True, text=True, env=cli_env(), timeout=timeout)
 
 
 @pytest.fixture
@@ -152,6 +155,20 @@ class TestEnumerate:
         second = run_cli("enumerate", "5", "2", "--dedup")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_reader_closing_stdout_ends_quietly_with_141(self):
+        # about 105 KB of output, more than the pipe and the writer's buffer hold together, so the
+        # child is still writing when the reader leaves after the first line (as `| head -n 1` does)
+        proc = subprocess.Popen([sys.executable, "-m", "ghzgraphs", "enumerate", "5", "4"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=cli_env(), bufsize=0)
+        try:
+            assert json.loads(proc.stdout.readline())["n"] == 5
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 class TestParadox:

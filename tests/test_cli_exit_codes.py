@@ -1,9 +1,11 @@
 """The CLI's exit-code contract over drawn graph documents, valid and broken, and drawn caps.
 
-Every graph subcommand and ``lemma`` runs in-process.  The exit code is one
-of the five documented ones; stdout is a JSON document on 0 and 1, except
-that ``paradox``, ``bell`` and ``ks`` refuse a graph that is not GHZ with
-exit 1, empty stdout and the failed tests on stderr; stdout is empty on 2-4.
+Every graph subcommand, ``lemma`` and ``enumerate`` runs in-process.  The
+exit code is one of the five documented ones; stdout is a JSON document on 0
+and 1, except that ``paradox``, ``bell`` and ``ks`` refuse a graph that is not
+GHZ with exit 1, empty stdout and the failed tests on stderr, and that
+``enumerate`` prints JSON lines, k graphs and then ``{"count": k}``; stdout is
+empty on 2-4.
 """
 
 import contextlib
@@ -68,8 +70,9 @@ def run_main(argv):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(documents(), st.integers(-1, 5000), st.integers(-1, 6), st.integers(-1, 8))
-def test_exit_code_matches_stdout(text, cap, lemma_n, lemma_d):
+@given(documents(), st.integers(-1, 5000), st.integers(-1, 6), st.integers(-1, 8), st.integers(-1, 5),
+       st.integers(-1, 6), st.booleans())
+def test_exit_code_matches_stdout(text, cap, lemma_n, lemma_d, enum_n, enum_d, dedup):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         if text is not None:
@@ -77,12 +80,25 @@ def test_exit_code_matches_stdout(text, cap, lemma_n, lemma_d):
         runs = [[command, str(path)] for command in ("check", "state-verify")]
         runs += [[command, str(path), f"--cap={cap}"] for command in sorted(REFUSING)]
         runs.append(["lemma", str(lemma_n), str(lemma_d), f"--cap={cap}"])
+        runs.append(["enumerate", str(enum_n), str(enum_d), *(["--dedup"] if dedup else []), f"--cap={cap}"])
         for argv in runs:
             code, out, err = run_main(argv)
             assert code in {0, 1, 2, 3, 4}, argv
-            if code == 1 and argv[0] in REFUSING:
+            if argv[0] == "enumerate" and code == 0:
+                *lines, last = out.splitlines()
+                assert json.loads(last) == {"count": len(lines)}, argv
+                assert all(sorted(json.loads(line)) == ["d", "edges", "n"] for line in lines), argv
+            elif argv[0] == "enumerate":
+                assert code in (2, 3) and out == "" and err.startswith("error: "), argv
+            elif code == 1 and argv[0] in REFUSING:
                 assert out == "" and err.startswith("error: ") and "needs a GHZ graph; failed: " in err, argv
             elif code in (0, 1):
                 assert isinstance(json.loads(out), dict), argv
             else:
                 assert out == "" and err, argv
+
+
+def test_enumerate_over_cap_exits_three():
+    # 4^10 codes against a cap of 100: refused before any graph is printed
+    assert run_main(["enumerate", "5", "4", "--cap", "100"]) == (
+        3, "", "error: enumeration at (n=5, d=4) of size 4^10 exceeds cap 100\n")

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ghzgraphs
+from ghzgraphs import cli
 from ghzgraphs.graphs import save_graph, triangle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -33,17 +34,24 @@ PUBLIC_NAMES = [
 SUBMODULES = ["bounds", "defaults", "errors", "graphs", "paradox", "pauli", "states"]
 
 # a fresh interpreter runs one command, then prints the ghzgraphs.* modules it
-# holds (prefix stripped) and whether numpy was imported
+# holds (prefix stripped), whether numpy was imported, its OPENBLAS_NUM_THREADS
+# and its OS thread count (None without /proc)
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from ghzgraphs import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
+try:
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+except OSError:
+    threads = None
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "modules": sorted(m[len("ghzgraphs."):] for m in sys.modules if m.startswith("ghzgraphs."))}))
+                  "modules": sorted(m[len("ghzgraphs."):] for m in sys.modules if m.startswith("ghzgraphs.")),
+                  "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
 """
 BASE = ["cli", "defaults", "errors"]
 GRAPHS = BASE + ["_search", "graphs"]
@@ -62,8 +70,10 @@ COMMANDS = [
 ]
 
 
-def fresh(code: str, *argv: str, cwd=None) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+def fresh(code: str, *argv: str, cwd=None, **extra_env: str) -> dict:
+    """Run ``code`` in a fresh interpreter without any inherited OPENBLAS_NUM_THREADS; return its JSON line."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env.update(extra_env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
                           cwd=cwd, timeout=120, check=True)
     return json.loads(proc.stdout)
@@ -77,17 +87,35 @@ class TestStartUp:
         assert out["code"] == code
         assert out["modules"] == sorted(loaded)
         assert out["numpy"] == (loaded != BASE)
+        # main defaults OpenBLAS to one thread before any handler imports numpy: no idle pool worker
+        assert out["blas_threads"] == "1"
+        if out["numpy"] and out["threads"] is not None:
+            assert out["threads"] == 1
+
+    def test_a_callers_blas_threads_are_kept(self, tmp_path):
+        save_graph(triangle(2), tmp_path / "g.json")
+        out = fresh(LOADED, "bell", "g.json", cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert out["code"] == 0 and out["numpy"]
+        assert out["blas_threads"] == "2"
+
+    def test_main_after_numpy_leaves_the_environment_alone(self, monkeypatch, capsys):
+        import numpy  # noqa: F401  (main sets nothing once numpy is loaded)
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert cli.main(["lemma", "2", "4"]) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_import_loads_no_submodule(self):
         out = fresh("""
-import json, sys
+import json, os, sys
 import ghzgraphs
 print(json.dumps({"names": [n for n in dir(ghzgraphs) if not n.startswith("_")], "version": ghzgraphs.__version__,
                   "numpy": "numpy" in sys.modules,
-                  "modules": sorted(m for m in sys.modules if m.startswith("ghzgraphs"))}))
+                  "modules": sorted(m for m in sys.modules if m.startswith("ghzgraphs")),
+                  "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """)
         assert out == {"names": sorted(set(PUBLIC_NAMES) - {"__version__"}), "version": "0.1.0", "numpy": False,
-                       "modules": ["ghzgraphs"]}
+                       "modules": ["ghzgraphs"], "blas_threads": None}
 
 
 class TestPublicSurface:
